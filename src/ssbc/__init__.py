@@ -24,7 +24,7 @@ from .evaluation import (EvalReport, GroundTruth, column_norm_diagnostic,
                          mean_average_precision, pr_curve, precision_recall,
                          rank_by_hamming, retrieve_hamming, spectral_norm,
                          theory_spectral_check)
-from .sketch import FdSketch, SingularTriple, svd_thin
+from .sketch import FdSketch
 
 __version__ = "0.1.0"
 
@@ -42,6 +42,6 @@ __all__ = [
     "ground_truth", "hamming_matrix", "mean_average_precision", "pr_curve",
     "precision_recall", "rank_by_hamming", "retrieve_hamming", "spectral_norm",
     "theory_spectral_check",
-    "FdSketch", "SingularTriple", "svd_thin",
+    "FdSketch",
     "__version__",
 ]

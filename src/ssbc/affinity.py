@@ -11,7 +11,7 @@ import math
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, check_int
 
 
 def _as_points(arr, name="points"):
@@ -70,8 +70,7 @@ def estimate_sigma_nn(points, t=30):
     Self-distances are excluded; t=30 gives the usual sigma_30 bandwidth.
     """
     points = _as_points(points)
-    if not isinstance(t, (int, np.integer)) or t < 1:
-        raise ParameterError("t must be an integer >= 1, got %r" % (t,))
+    t = check_int(t, "t", 1)
     n = points.shape[0]
     if n <= t:
         raise ParameterError("need more than t=%d points, got n=%d" % (t, n))

@@ -9,11 +9,10 @@ set, eigendecompose it, and sign the top-k eigenvectors, either directly
 """
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .encoder import signs
-from .errors import GuardError, NumericalError, ParameterError
-from .affinity import _as_points
+from .errors import GuardError, NumericalError, ParameterError, check_int
+from .affinity import TrainSet, _as_points, affinity_matrix
 
 
 class LshModel:
@@ -26,12 +25,10 @@ class LshModel:
 
 def lsh_train(d, k, seed):
     """Draw the d x k standard-normal projection matrix from the given seed."""
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ParameterError("d must be an integer >= 1, got %r" % (d,))
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ParameterError("k must be an integer >= 1, got %r" % (k,))
+    d = check_int(d, "d", 1)
+    k = check_int(k, "k", 1)
     rng = np.random.default_rng(seed)
-    return LshModel(rng.standard_normal((int(d), int(k))), seed)
+    return LshModel(rng.standard_normal((d, k)), seed)
 
 
 def lsh_encode(model, point):
@@ -55,10 +52,9 @@ def lsh_encode_batch(model, points):
 def haar_rotation(k, seed):
     """Haar-random orthogonal k x k matrix: QR of a Gaussian matrix with
     the R diagonal's signs folded into Q."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ParameterError("k must be an integer >= 1, got %r" % (k,))
+    k = check_int(k, "k", 1)
     rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((int(k), int(k))))
+    q, r = np.linalg.qr(rng.standard_normal((k, k)))
     d = np.sign(np.diag(r))
     d[d == 0] = 1.0
     return q * d
@@ -86,18 +82,13 @@ def exact_codes(points, k, sigma, mode="deterministic", seed=0, guard=5000,
     n = points.shape[0]
     if mode not in ("deterministic", "randomized"):
         raise ParameterError("mode must be deterministic or randomized, got %r" % (mode,))
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ParameterError("k must be an integer >= 1, got %r" % (k,))
+    k = check_int(k, "k", 1)
     if n < k:
         raise ParameterError("need n >= k, got n=%d, k=%d" % (n, k))
     if n > guard:
         raise GuardError("n=%d exceeds the dense eigendecomposition guard %d"
                          % (n, guard))
-    sigma = float(sigma)
-    if not (sigma > 0):
-        raise ParameterError("sigma must be positive, got %r" % sigma)
-
-    w = np.exp(-cdist(points, points, "sqeuclidean") / sigma)
+    w = affinity_matrix(points, TrainSet(points, sigma))
     if not np.array_equal(w, w.T) or not np.all(np.diag(w) == 1.0):
         raise NumericalError("affinity matrix is not symmetric with unit diagonal")
     try:

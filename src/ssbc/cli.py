@@ -8,6 +8,7 @@ environment variable sets the default output directory.
 """
 
 import argparse
+import itertools
 import os
 import sys
 import time
@@ -254,17 +255,25 @@ def _encode(cfg, train_set, test_points, k):
     return test_codes, train_codes
 
 
-def _run_once(cfg, train_ds, test_ds, sigma, note, k, timings):
-    threshold = cfg.truth_threshold if cfg.truth_threshold else sigma
+def _ground_truth(cfg, test_ds, sigma, note, timings):
+    """Similar pairs among the test points, shared by every (method, k) cell."""
+    t0 = time.perf_counter()
+    truth = evaluation.ground_truth(test_ds.points, test_ds.points, sigma,
+                                    threshold=cfg.truth_threshold or sigma,
+                                    threshold_note=note)
+    timings["truth"] = time.perf_counter() - t0
+    return truth
+
+
+def _run_once(cfg, train_ds, test_ds, sigma, truth, timings):
+    k = cfg.k
     train_set = TrainSet(train_ds.points, sigma)
     t0 = time.perf_counter()
     test_codes, train_codes = _encode(cfg, train_set, test_ds.points, k)
     t1 = time.perf_counter()
-    truth = evaluation.ground_truth(test_ds.points, test_ds.points, sigma,
-                                    threshold=threshold, threshold_note=note)
     radius = k // 4 if cfg.hamming_radius == "sweep" else int(cfg.hamming_radius)
-    config_echo = dict(asdict(cfg), resolved_sigma=sigma, resolved_threshold=threshold,
-                       resolved_radius=radius, k=k, method=cfg.method)
+    config_echo = dict(asdict(cfg), resolved_sigma=sigma,
+                       resolved_threshold=truth.threshold, resolved_radius=radius)
     report = evaluation.evaluate_retrieval(cfg.method, test_codes, test_codes,
                                            truth, radius, params=config_echo)
     t2 = time.perf_counter()
@@ -332,8 +341,9 @@ def cmd_run(args):
     t0 = time.perf_counter()
     train_ds, test_ds, sigma, note = _prepared_split(cfg)
     timings["prepare"] = time.perf_counter() - t0
+    truth = _ground_truth(cfg, test_ds, sigma, note, timings)
     report, config_echo, test_codes, train_codes = _run_once(
-        cfg, train_ds, test_ds, sigma, note, cfg.k, timings)
+        cfg, train_ds, test_ds, sigma, truth, timings)
 
     prefix = _out_prefix(args, "%s_k%d_seed%d" % (cfg.method, cfg.k, cfg.seed))
     formats.write_codes(prefix + ".codes", test_codes, cfg.method,
@@ -374,22 +384,22 @@ def cmd_sweep(args):
     reports = []
     failures = []
     sweep_echo = dict(asdict(base_cfg), methods=methods, k_list=args.k_list,
-                      resolved_sigma=sigma, resolved_threshold=(
-                          base_cfg.truth_threshold if base_cfg.truth_threshold else sigma))
+                      resolved_sigma=sigma,
+                      resolved_threshold=base_cfg.truth_threshold or sigma)
     exit_code = 0
-    for method in methods:
-        for k in args.k_list:
-            cfg = replace(base_cfg, method=method, k=k)
-            try:
-                report, _, _, _ = _run_once(cfg, train_ds, test_ds, sigma, note,
-                                            k, timings)
-                reports.append(report)
-            except (ParameterError, DataError, NumericalError, GuardError) as exc:
-                failures.append((method, k, type(exc).__name__))
-                sys.stderr.write("sweep aborted at %s k=%d: %s\n" % (method, k, exc))
-                exit_code = _exit_code_for(exc)
-                break
-        if exit_code:
+    truth = None
+    for method, k in itertools.product(methods, args.k_list):
+        cfg = replace(base_cfg, method=method, k=k)
+        try:
+            if truth is None:
+                truth = _ground_truth(cfg, test_ds, sigma, note, timings)
+            report, _, _, _ = _run_once(cfg, train_ds, test_ds, sigma, truth,
+                                        timings)
+            reports.append(report)
+        except (ParameterError, DataError, NumericalError, GuardError) as exc:
+            failures.append((method, k, type(exc).__name__))
+            sys.stderr.write("sweep aborted at %s k=%d: %s\n" % (method, k, exc))
+            exit_code = _exit_code_for(exc)
             break
 
     formats.write_json(prefix + ".report.json",

@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, check_int
 
 
 class Dataset:
@@ -44,14 +44,10 @@ class SplitSpec:
     """How many points go to train and test, and the seed that shuffles them."""
 
     def __init__(self, train_count, test_count, seed, strategy="uniform_random"):
-        for label, c in (("train_count", train_count), ("test_count", test_count)):
-            if not isinstance(c, (int, np.integer)) or c < 0:
-                raise ParameterError("%s must be a non-negative integer, got %r"
-                                     % (label, c))
+        self.train_count = check_int(train_count, "train_count", 0)
+        self.test_count = check_int(test_count, "test_count", 0)
         if strategy != "uniform_random":
             raise ParameterError("unknown split strategy %r" % (strategy,))
-        self.train_count = int(train_count)
-        self.test_count = int(test_count)
         self.seed = int(seed)
         self.strategy = strategy
 
@@ -127,13 +123,11 @@ def save_csv(points, path, delimiter=","):
 
 def synth_uniform(n, d=50, seed=0, name="uniform"):
     """n points whose t-th coordinate is uniform on [0, (1/t)^2], t = 1..d."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError("n must be an integer >= 1, got %r" % (n,))
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ParameterError("d must be an integer >= 1, got %r" % (d,))
+    n = check_int(n, "n", 1)
+    d = check_int(d, "d", 1)
     rng = np.random.default_rng(seed)
     scales = (1.0 / np.arange(1, d + 1)) ** 2
-    return Dataset(rng.random((int(n), int(d))) * scales, name, "synthetic")
+    return Dataset(rng.random((n, d)) * scales, name, "synthetic")
 
 
 def split(ds, spec):

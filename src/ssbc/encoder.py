@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from .affinity import affinity_matrix, affinity_vector
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 from .sketch import FdSketch
 
 
@@ -35,12 +35,11 @@ class SsbcParams:
     """Code length k and sketch accuracy epsilon; sketch size ell = ceil(k + k/epsilon)."""
 
     def __init__(self, k, epsilon=0.5):
-        if not isinstance(k, (int, np.integer)) or k < 1:
-            raise ParameterError("k must be an integer >= 1, got %r" % (k,))
+        k = check_int(k, "k", 1)
         epsilon = float(epsilon)
         if not (0.0 < epsilon <= 1.0):
             raise ParameterError("epsilon must lie in (0, 1], got %r" % epsilon)
-        self.k = int(k)
+        self.k = k
         self.epsilon = epsilon
 
     @property

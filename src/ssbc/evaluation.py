@@ -12,8 +12,8 @@ import math
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import DataError, GuardError, NumericalError, ParameterError
-from .affinity import _as_points
+from .errors import DataError, GuardError, NumericalError, ParameterError, check_int
+from .affinity import TrainSet, _as_points, affinity_matrix
 from .sketch import FdSketch
 
 
@@ -94,8 +94,7 @@ def retrieve_hamming(codes_query, codes_base, r, exclude_self=None):
     """Indices of base codes within Hamming distance r of each query code."""
     ham = hamming_matrix(codes_query, codes_base)
     k = np.asarray(codes_query).shape[1]
-    if not isinstance(r, (int, np.integer)) or r < 0 or r > k:
-        raise ParameterError("radius must lie in [0, %d], got %r" % (k, r))
+    r = check_int(r, "r", 0, k)
     exclude = _auto_exclude(codes_query, codes_base, exclude_self)
     out = []
     for i in range(ham.shape[0]):
@@ -242,8 +241,7 @@ def evaluate_retrieval(method, codes_query, codes_base, truth, radius=None,
     k = int(np.asarray(codes_query).shape[1])
     if radius is None:
         radius = k // 4
-    if not isinstance(radius, (int, np.integer)) or radius < 0 or radius > k:
-        raise ParameterError("radius must lie in [0, %d], got %r" % (k, radius))
+    radius = check_int(radius, "radius", 0, k)
     if truth.query_count != np.asarray(codes_query).shape[0]:
         raise ParameterError("ground truth covers %d queries, codes %d"
                              % (truth.query_count, np.asarray(codes_query).shape[0]))
@@ -252,7 +250,7 @@ def evaluate_retrieval(method, codes_query, codes_base, truth, radius=None,
     ranked = rank_by_hamming(codes_query, codes_base, exclude_self)
     map_score = mean_average_precision(ranked, truth.similar)
     run_params = dict(params or {})
-    run_params.setdefault("radius", int(radius))
+    run_params.setdefault("radius", radius)
     return EvalReport(method, k, run_params, precision, recall, map_score, curve)
 
 
@@ -308,21 +306,18 @@ def theory_spectral_check(points, m, ell, seed, sigma, exhaustive=False,
     n = points.shape[0]
     if n > guard:
         raise GuardError("n=%d exceeds the dense affinity guard %d" % (n, guard))
-    sigma = float(sigma)
-    if not (sigma > 0):
-        raise ParameterError("sigma must be positive, got %r" % sigma)
-    w = np.exp(-cdist(points, points, "sqeuclidean") / sigma)
+    train = TrainSet(points, sigma)
+    w = affinity_matrix(points, train)
     if exhaustive:
         m = n
         idx = np.arange(n)
     else:
-        if not isinstance(m, (int, np.integer)) or not (1 <= m <= n):
-            raise ParameterError("m must lie in [1, %d], got %r" % (n, m))
+        m = check_int(m, "m", 1, n)
         rng = np.random.default_rng(seed)
-        idx = rng.integers(0, n, size=int(m))
+        idx = rng.integers(0, n, size=m)
     what = np.sqrt(n / m) * w[:, idx]
 
-    sketch = FdSketch(int(ell), int(m))
+    sketch = FdSketch(int(ell), m)
     for row in what:
         sketch.insert(row)
     b = sketch.buffer
@@ -347,10 +342,10 @@ def theory_spectral_check(points, m, ell, seed, sigma, exhaustive=False,
         "frobW": math.sqrt(fro2),
         "degenerate": degenerate,
         "n": int(n),
-        "m": int(m),
+        "m": m,
         "ell": int(sketch.ell),
         "seed": int(seed),
-        "sigma": sigma,
+        "sigma": train.sigma,
         "rcond": float(rcond),
         "exhaustive": bool(exhaustive),
     }
@@ -362,10 +357,7 @@ def column_norm_diagnostic(points, sigma, guard=2000):
     n = points.shape[0]
     if n > guard:
         raise GuardError("n=%d exceeds the dense affinity guard %d" % (n, guard))
-    sigma = float(sigma)
-    if not (sigma > 0):
-        raise ParameterError("sigma must be positive, got %r" % sigma)
-    w = np.exp(-cdist(points, points, "sqeuclidean") / sigma)
+    w = affinity_matrix(points, TrainSet(points, sigma))
     col = np.sum(w * w, axis=0)
     cmax = float(col.max())
     cmin = float(col.min())

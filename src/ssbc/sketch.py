@@ -13,69 +13,36 @@ separately squared scalar. Vectorised and scalar squaring can disagree by
 one ulp, which would leave the last shrunk value a tiny positive number
 instead of exactly zero and the buffer with no free row.
 
-Each shrink frees about one row, so a shrink follows nearly every insert,
-and a full SVD of the ell x m buffer at each one would dominate the cost of
-a stream. After a shrink the buffer's nonzero rows are diag(s') V^T with
-orthonormal V^T, so the sketch carries (s', V^T) to the next shrink and
-factors only the p rows inserted since (Brand 2006, "Fast low-rank
-modifications of the thin SVD"): two Gram-Schmidt passes project the new
-rows onto V^T (on correlated rows such as affinities, one pass leaves the
-new directions measurably non-orthogonal to V^T), the residual is
-QR-factored, and an SVD of the square ell x ell core followed by a rotation
-yields the buffer's singular values and right singular vectors.
-The shrink rule above is applied to them unchanged.
+One factorisation serves both the shrink and the basis read. Each shrink
+frees about one row, so a shrink follows nearly every insert, and in
+online use a basis read follows every insert as well; a full SVD of the
+ell x m buffer at each would dominate the cost of a stream. After a shrink
+the buffer's nonzero rows are diag(s') V^T with orthonormal V^T, so the
+sketch carries (s', V^T) and factors only the p rows inserted since
+(Brand 2006, "Fast low-rank modifications of the thin SVD"): two
+Gram-Schmidt passes project the new rows onto V^T (on correlated rows such
+as affinities, one pass leaves the new directions measurably
+non-orthogonal to V^T), the residual is QR-factored, and an SVD of the
+square core followed by a rotation yields the buffer's singular values and
+right singular vectors. A shrink applies the rule above to them; a basis
+read takes the top k.
 
-A full SVD of the buffer is still taken on the first shrink, for a tall
-buffer (ell > m, where ell orthonormal rows do not exist), and whenever the
-updated right singular vectors to be carried are further than _ORTHO_TOL
-(largest entry of |V^T V - I|) from orthonormal.
+A full SVD of the buffer is taken only
+  * before the first shrink, when nothing is carried yet;
+  * for a tall buffer (ell > m), where ell orthonormal rows do not exist
+    and nothing is carried;
+  * when the rows the caller uses (the kept rows for a shrink, the top k
+    for a basis read) are further than _ORTHO_TOL (largest entry of
+    |V^T V - I|) from orthonormal;
+  * for a basis read of more rows than the buffer holds.
 """
-
-from collections import namedtuple
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, check_int
 
 # largest entry of |Vt Vt^T - I| a carried factorisation may have
 _ORTHO_TOL = 1e-9
-
-SingularTriple = namedtuple("SingularTriple", ["u", "s", "v"])
-"""Thin SVD of a short-and-wide matrix: u (r x r), s (r,), v (c x r) with r <= c."""
-
-
-def svd_thin(mat):
-    """Thin SVD of a short-and-wide matrix, returned as a SingularTriple.
-
-    Rejects matrices with more rows than columns; the sketch buffer is
-    handled through its transpose in that regime.
-    """
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ParameterError("svd_thin expects a matrix, got ndim=%d" % mat.ndim)
-    rows, cols = mat.shape
-    if rows > cols:
-        raise ParameterError(
-            "svd_thin expects rows <= cols, got %d x %d" % (rows, cols)
-        )
-    try:
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("SVD failed to converge: %s" % exc) from exc
-    return SingularTriple(u, s, vh.T)
-
-
-def _singular_rows(mat):
-    """Singular values and right singular vectors (as rows) of any matrix.
-
-    Tall matrices are decomposed through their transpose so svd_thin only
-    ever sees the short-and-wide case.
-    """
-    if mat.shape[0] <= mat.shape[1]:
-        tri = svd_thin(mat)
-        return tri.s, tri.v.T
-    tri = svd_thin(mat.T)
-    return tri.s, tri.u.T
 
 
 class FdSketch:
@@ -86,17 +53,14 @@ class FdSketch:
     row may contain zeros.
 
     The buffer is always materialised. Alongside it, each shrink keeps the
-    factorisation (s', V^T) of the rows it left, which the next shrink
-    updates instead of decomposing the whole buffer again.
+    factorisation (s', V^T) of the rows it left. shrink() and basis() both
+    get the buffer's SVD by updating it with the rows inserted since, and
+    decompose the whole buffer only in the cases the module lists.
     """
 
     def __init__(self, ell, m):
-        if not isinstance(ell, (int, np.integer)) or ell < 2:
-            raise ParameterError("ell must be an integer >= 2, got %r" % (ell,))
-        if not isinstance(m, (int, np.integer)) or m < 1:
-            raise ParameterError("m must be an integer >= 1, got %r" % (m,))
-        self.ell = int(ell)
-        self.m = int(m)
+        self.ell = check_int(ell, "ell", 2)
+        self.m = check_int(m, "m", 1)
         self.buffer = np.zeros((self.ell, self.m))
         self.next_zero_row = 0
         self.rows_seen = 0
@@ -126,23 +90,9 @@ class FdSketch:
         tied with the ell-th release more than one row at once. When the
         buffer is taller than wide (ell > m, legal but wasteful) the ell-th
         singular value is structurally zero and the shrink is lossless.
-
-        The buffer's SVD comes from updating the factorisation the previous
-        shrink left behind (see _updated_svd). A full SVD of the buffer is
-        taken instead on the first shrink, for a tall buffer, and whenever
-        the updated right singular vectors kept for the next shrink are
-        further than _ORTHO_TOL from orthonormal.
         """
-        if self._vt is not None:
-            s, vt = self._updated_svd()
-            shrunk, nz = self._shrunk_values(s)
-            kept = vt[:nz]
-            drift = np.abs(kept @ kept.T - np.eye(nz)).max(initial=0.0)
-            if drift > _ORTHO_TOL:
-                self._vt = None
-        if self._vt is None:
-            s, vt = _singular_rows(self.buffer)
-            shrunk, nz = self._shrunk_values(s)
+        s, vt = self._svd(lambda s: self._shrunk_values(s)[1])
+        shrunk, nz = self._shrunk_values(s)
         self.buffer = np.zeros((self.ell, self.m))
         self.buffer[:nz] = shrunk[:nz, None] * vt[:nz]
         self.next_zero_row = nz
@@ -158,52 +108,76 @@ class FdSketch:
         shrunk = np.sqrt(np.maximum(s2 - delta, 0.0))
         return shrunk, int(np.count_nonzero(shrunk))
 
+    def _svd(self, used):
+        """Singular values and right singular rows of the buffer.
+
+        used(s) is how many leading right singular rows the caller reads.
+        The carried factorisation updated with the rows inserted since is
+        returned when it has that many rows and they are within _ORTHO_TOL
+        of orthonormal; otherwise the whole buffer is decomposed.
+        """
+        try:
+            if self._vt is not None:
+                s, vt = self._updated_svd()
+                n = used(s)
+                if n <= len(s):
+                    drift = np.abs(vt[:n] @ vt[:n].T - np.eye(n)).max(initial=0.0)
+                    if drift <= _ORTHO_TOL:
+                        return s, vt
+            _, s, vt = np.linalg.svd(self.buffer, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("SVD failed to converge: %s" % exc) from exc
+        return s, vt
+
     def _updated_svd(self):
-        """Singular values and right singular rows of the full buffer.
+        """Singular values and right singular rows of the filled buffer rows.
 
         Buffer rows [0, nz) equal diag(s) Vt for the carried (s, Vt); the
-        rows C inserted since are split as C = P Vt + R^T Q^T, with P from
-        two Gram-Schmidt passes against Vt and Q R the QR factorisation of
-        the residual's transpose. Then B = K [Vt; Q^T] with the square core
-        K = [[diag(s), 0], [P, R^T]], and the SVD K = U diag(s') W^T gives
-        B's singular values s' and right singular rows W^T [Vt; Q^T]. Only
-        the ell x ell core is decomposed, not the ell x m buffer.
+        rows C = buffer[nz:next_zero_row] inserted since are split as
+        C = P Vt + R^T Q^T, with P from two Gram-Schmidt passes against Vt
+        and Q R the QR factorisation of the residual's transpose. Then
+        B = K [Vt; Q^T] with the square core K = [[diag(s), 0], [P, R^T]],
+        and the SVD K = U diag(s') W^T gives B's singular values s' and
+        right singular rows W^T [Vt; Q^T]. Only the next_zero_row-square
+        core is decomposed, not the ell x m buffer.
         """
         nz = len(self._s)
         vt = self._vt
-        new = self.buffer[nz:]
+        new = self.buffer[nz:self.next_zero_row]
         coef = new @ vt.T
         resid = new - coef @ vt
         coef2 = resid @ vt.T
         resid -= coef2 @ vt
         coef += coef2
         q, r = np.linalg.qr(resid.T)
-        core = np.zeros((self.ell, self.ell))
+        core = np.zeros((self.next_zero_row, self.next_zero_row))
         core[:nz, :nz] = np.diag(self._s)
         core[nz:, :nz] = coef
         core[nz:, nz:] = r.T
-        tri = svd_thin(core)
-        return tri.s, tri.v.T @ np.vstack([vt, q.T])
+        _, s, wt = np.linalg.svd(core, full_matrices=False)
+        return s, wt @ np.vstack([vt, q.T])
 
     def basis(self, k):
         """First k right singular vectors of the buffer, as an m x k matrix.
 
-        Columns are ordered by non-increasing singular value. Each column is
-        flipped so its largest-magnitude entry is positive: the LAPACK sign
-        choice is arbitrary and can change when the buffer changes slightly,
-        which would make codes emitted at different stream positions
-        incomparable. Undefined on a sketch whose buffer holds no data
-        (nothing inserted yet, or every direction annihilated by shrinks).
+        Columns are ordered by non-increasing singular value. They come from
+        the factorisation a shrink uses, so after the first shrink of a wide
+        buffer a read factors only the rows inserted since the last shrink.
+        Each column is flipped so its largest-magnitude entry is positive:
+        the LAPACK sign choice is arbitrary and can change when the buffer
+        changes slightly, which would make codes emitted at different stream
+        positions incomparable. Undefined on a sketch whose buffer holds no
+        data (nothing inserted yet, or every direction annihilated by
+        shrinks).
         """
-        if not isinstance(k, (int, np.integer)) or k < 1:
-            raise ParameterError("k must be an integer >= 1, got %r" % (k,))
+        k = check_int(k, "k", 1)
         if k > self.ell:
             raise ParameterError("k=%d exceeds sketch rows ell=%d" % (k, self.ell))
         if k > self.m:
             raise ParameterError("k=%d exceeds row dimension m=%d" % (k, self.m))
         if self.next_zero_row == 0 or not self.buffer.any():
             raise NumericalError("sketch buffer is all zeros, no basis defined")
-        s, vt = _singular_rows(self.buffer)
+        _, vt = self._svd(lambda s: k)
         v = vt[:k].T
         anchor = v[np.argmax(np.abs(v), axis=0), np.arange(k)]
         flip = np.where(anchor >= 0, 1.0, -1.0)

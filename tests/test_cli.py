@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ssbc import lsh_encode_batch, lsh_train
+from ssbc import evaluation, lsh_encode_batch, lsh_train
 from ssbc.cli import main
 from ssbc.data import load_csv, synth_uniform
 from ssbc.formats import read_codes
@@ -139,6 +139,23 @@ def test_sweep_outputs(tmp_path):
     assert len(summaries) == 4
     pr_rows = [l for l in lines if ",pr," in l]
     assert len(pr_rows) == (4 + 1) + (6 + 1) + (4 + 1) + (6 + 1)
+
+
+def test_sweep_builds_ground_truth_once(tmp_path, monkeypatch):
+    # every (method, k) cell is scored against the same test set and threshold
+    calls = []
+    truth = evaluation.ground_truth
+    monkeypatch.setattr(evaluation, "ground_truth",
+                        lambda *a, **kw: calls.append(a) or truth(*a, **kw))
+    code = main(["sweep", "--uniform", "80", "--dim", "6", "--train", "40",
+                 "--test", "40", "--seed", "1", "--methods", "ssbc_streaming,lsh",
+                 "--k-list", "4,6", "--out-prefix", str(tmp_path / "sw")])
+    assert code == 0
+    assert len(calls) == 1
+    payload = json.loads((tmp_path / "sw.report.json").read_text())
+    assert len(payload["reports"]) == 4
+    timings = json.loads((tmp_path / "sw.timings.json").read_text())["timings"]
+    assert timings["truth"] >= 0.0
 
 
 def test_sweep_aborts_on_failure_but_keeps_partial_results(tmp_path, capsys):

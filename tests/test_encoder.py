@@ -168,6 +168,24 @@ def test_batch_codes_match_full_svd_reference_sketch():
     assert model.sketch.shrink_count == ref.shrink_count > 900
 
 
+def test_online_codes_match_full_svd_reference_sketch():
+    # every basis read of the reference sketch takes a full SVD of its
+    # buffer; the online codes read from the carried factorisation must
+    # come out bit for bit equal
+    pts = synth_uniform(1000, 50, 7).points
+    train = TrainSet(pts[:200], estimate_sigma_nn(pts[:200], 30))
+    params = SsbcParams(20, 0.5)
+    model = ssbc_train(train, params)
+    ref = FullSvdSketch(params.ell, train.m)
+    for row in affinity_matrix(train.points, train):
+        ref.insert(row)
+    ref_model = SsbcModel(train, ref, params)
+    for p in pts[200:]:
+        assert np.array_equal(ssbc_process_online(model, p),
+                              ssbc_process_online(ref_model, p))
+    assert model.sketch.shrink_count == ref.shrink_count > 900
+
+
 def test_streaming_and_online_agree_on_last_point():
     ds, train = small_train(n=25, d=6, seed=3)
     queries = synth_uniform(7, 6, 99).points

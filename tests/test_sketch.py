@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-import ssbc.sketch as sketch_module
 from ssbc import (FdSketch, NumericalError, ParameterError, TrainSet,
-                  affinity_matrix, estimate_sigma_nn, svd_thin)
+                  affinity_matrix, estimate_sigma_nn)
 from ssbc.data import synth_uniform
 from ssbc.evaluation import spectral_norm
 
@@ -169,6 +168,17 @@ class FullSvdSketch(FdSketch):
         self.shrink_count += 1
 
 
+def _assert_gapped_columns_match(sk, ref, k):
+    # columns whose singular value is separated from its neighbours by more
+    # than 1e-9 of the largest are defined up to sign, which basis() fixes
+    s = np.append(np.linalg.svd(ref.buffer, compute_uv=False), 0.0)
+    left = np.append(np.inf, s[:k - 1] - s[1:k])
+    right = s[:k] - s[1:k + 1]
+    gapped = np.minimum(left, right) > 1e-9 * s[0]
+    diff = np.abs(sk.basis(k) - ref.basis(k))[:, gapped]
+    assert diff.max(initial=0.0) <= 1e-8
+
+
 def _wide_stream():
     return np.random.default_rng(37).standard_normal((600, 40)), 12
 
@@ -207,6 +217,7 @@ def _emptied_stream():
 def test_shrink_matches_full_svd_reference(stream):
     rows, ell = stream()
     m = rows.shape[1]
+    k = min(ell, m) - 1
     sk, ref = FdSketch(ell, m), FullSvdSketch(ell, m)
     for row in rows:
         sk.insert(row)
@@ -218,9 +229,9 @@ def test_shrink_matches_full_svd_reference(stream):
         ref_gram = ref.buffer.T @ ref.buffer
         assert (np.linalg.norm(gram - ref_gram)
                 <= 1e-9 * np.linalg.norm(ref_gram))
+        if ref.buffer.any():
+            _assert_gapped_columns_match(sk, ref, k)
     assert sk.shrink_count >= len(rows) // ell
-    k = 3
-    assert np.abs(sk.basis(k) - ref.basis(k)).max() <= 1e-8
 
 
 def _affinity_stream():
@@ -234,18 +245,55 @@ def _affinity_stream():
 
 @pytest.mark.parametrize("stream", [_wide_stream, _affinity_stream])
 def test_only_the_first_shrink_takes_a_full_svd(monkeypatch, stream):
-    # later shrinks update the factorisation the previous one carried; a
-    # full SVD there means the update path was bypassed or rejected
-    full = sketch_module._singular_rows
-    shapes = []
-    monkeypatch.setattr(sketch_module, "_singular_rows",
-                        lambda mat: shapes.append(mat.shape) or full(mat))
+    # after the first shrink, shrinks and basis reads alike update the
+    # factorisation the previous shrink carried; a full SVD of the buffer
+    # there means the update path was bypassed or rejected
     rows, ell = stream()
-    sk = FdSketch(ell, rows.shape[1])
+    m = rows.shape[1]
+    sk = FdSketch(ell, m)
+    svd = np.linalg.svd
+    full = []
+
+    def counting_svd(a, *args, **kwargs):
+        if np.shape(a) == (ell, m):
+            full.append(sk.shrink_count)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     for row in rows:
         sk.insert(row)
+        sk.basis(ell // 3)
     assert sk.shrink_count > 500
-    assert shapes == [(ell, rows.shape[1])]
+    # the ell - 1 reads before the first shrink, and that shrink
+    assert full == [0] * ell
+
+
+def test_basis_folds_in_rows_inserted_since_the_last_shrink(monkeypatch):
+    # three unit rows tie with the ell-th singular value, so the first shrink
+    # frees three rows; the reads after the next inserts must combine the
+    # carried factorisation with those rows, without a full SVD
+    m, ell = 20, 6
+    rows = np.vstack([np.eye(m)[:ell] * [[3.0], [2.0], [1.5], [1.0], [1.0], [1.0]],
+                      np.random.default_rng(47).standard_normal((2, m))])
+    sk, ref = FdSketch(ell, m), FullSvdSketch(ell, m)
+    for row in rows[:ell]:
+        sk.insert(row)
+        ref.insert(row)
+    assert sk.next_zero_row == ref.next_zero_row == 3
+    svd = np.linalg.svd
+    full = []
+
+    def counting_svd(a, *args, **kwargs):
+        if a is sk.buffer:
+            full.append(sk.shrink_count)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for row in rows[ell:]:
+        sk.insert(row)
+        ref.insert(row)
+        _assert_gapped_columns_match(sk, ref, 3)
+    assert sk.next_zero_row == 5 and not full
 
 
 def test_shrink_rejects_a_carried_basis_that_lost_orthogonality():
@@ -258,9 +306,12 @@ def test_shrink_rejects_a_carried_basis_that_lost_orthogonality():
     # stand-in for accumulated rounding drift in the carried factorisation
     sk._vt = sk._vt + 1e-6 * np.random.default_rng(5).standard_normal(
         sk._vt.shape)
+    k = ell - 1
+    _assert_gapped_columns_match(sk, ref, k)
     for row in rows[ell:3 * ell]:
         sk.insert(row)
         ref.insert(row)
+        _assert_gapped_columns_match(sk, ref, k)
         gram = sk.buffer.T @ sk.buffer
         ref_gram = ref.buffer.T @ ref.buffer
         assert (np.linalg.norm(gram - ref_gram)
@@ -320,29 +371,3 @@ def test_basis_errors():
     small.insert([1.0, 2.0])
     with pytest.raises(ParameterError):
         small.basis(3)
-
-
-def test_svd_thin_identity_and_diagonal():
-    tri = svd_thin(np.eye(3))
-    assert np.allclose(tri.s, [1.0, 1.0, 1.0])
-    tri = svd_thin(np.diag([5.0, 3.0]))
-    assert np.allclose(tri.s, [5.0, 3.0])
-    assert np.allclose(np.abs(tri.u), np.eye(2), atol=1e-12)
-    assert np.allclose(np.abs(tri.v), np.eye(2), atol=1e-12)
-
-
-def test_svd_thin_reconstructs_wide_matrix():
-    rng = np.random.default_rng(31)
-    mat = rng.standard_normal((5, 8))
-    tri = svd_thin(mat)
-    rebuilt = tri.u @ np.diag(tri.s) @ tri.v.T
-    rel = np.linalg.norm(rebuilt - mat) / np.linalg.norm(mat)
-    assert rel < 1e-6
-    assert np.all(np.diff(tri.s) <= 0)
-    assert np.all(tri.s >= 0)
-    assert np.allclose(tri.v.T @ tri.v, np.eye(5), atol=1e-8)
-
-
-def test_svd_thin_rejects_tall_input():
-    with pytest.raises(ParameterError):
-        svd_thin(np.ones((4, 2)))
