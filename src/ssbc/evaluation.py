@@ -132,6 +132,11 @@ def rank_by_hamming(codes_query, codes_base, exclude_self=None):
     """Full base ranking per query by ascending Hamming distance, ties by index."""
     ham = hamming_matrix(codes_query, codes_base)
     exclude = _auto_exclude(codes_query, codes_base, exclude_self)
+    return _rank(ham, exclude)
+
+
+def _rank(ham, exclude):
+    """rank_by_hamming from the Hamming matrix."""
     rankings = []
     for i in range(ham.shape[0]):
         order = np.argsort(ham[i], kind="stable")
@@ -179,13 +184,20 @@ def pr_curve(codes_query, codes_base, truth, exclude_self=None):
     ham = hamming_matrix(codes_query, codes_base)
     k = np.asarray(codes_query).shape[1]
     exclude = _auto_exclude(codes_query, codes_base, exclude_self)
+    return _pr_curve(ham, k, truth, exclude)
+
+
+def _pr_curve(ham, k, truth, exclude):
+    """pr_curve from the Hamming matrix of k-bit codes.
+
+    With exclude, the diagonal of ham is set to k + 1 in place, out of reach
+    of every radius.
+    """
     n_q = ham.shape[0]
     if len(truth) != n_q:
         raise ParameterError("truth covers %d queries, codes %d" % (len(truth), n_q))
     if exclude:
-        ham = ham.copy()
-        for i in range(min(n_q, ham.shape[1])):
-            ham[i, i] = k + 1
+        np.fill_diagonal(ham, k + 1)
     ret_at = np.zeros((n_q, k + 1), dtype=np.int64)
     inter_at = np.zeros((n_q, k + 1), dtype=np.int64)
     truth_sizes = np.zeros(n_q, dtype=np.int64)
@@ -245,9 +257,14 @@ def evaluate_retrieval(method, codes_query, codes_base, truth, radius=None,
     if truth.query_count != np.asarray(codes_query).shape[0]:
         raise ParameterError("ground truth covers %d queries, codes %d"
                              % (truth.query_count, np.asarray(codes_query).shape[0]))
-    curve = pr_curve(codes_query, codes_base, truth.similar, exclude_self)
+    ham = hamming_matrix(codes_query, codes_base)
+    exclude = _auto_exclude(codes_query, codes_base, exclude_self)
+    ranked = _rank(ham, exclude)
+    # _pr_curve may overwrite the diagonal, so it reads the matrix last; the
+    # n x n matrix is released before MAP, which does not need it
+    curve = _pr_curve(ham, k, truth.similar, exclude)
+    del ham
     precision, recall = curve[radius]
-    ranked = rank_by_hamming(codes_query, codes_base, exclude_self)
     map_score = mean_average_precision(ranked, truth.similar)
     run_params = dict(params or {})
     run_params.setdefault("radius", radius)

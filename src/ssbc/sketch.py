@@ -25,7 +25,8 @@ as affinities, one pass leaves the new directions measurably
 non-orthogonal to V^T), the residual is QR-factored, and an SVD of the
 square core followed by a rotation yields the buffer's singular values and
 right singular vectors. A shrink applies the rule above to them; a basis
-read takes the top k.
+read takes the top k, straight from the carried pair when no row was
+inserted since the last shrink.
 
 A full SVD of the buffer is taken only
   * before the first shrink, when nothing is carried yet;
@@ -112,13 +113,17 @@ class FdSketch:
         """Singular values and right singular rows of the buffer.
 
         used(s) is how many leading right singular rows the caller reads.
-        The carried factorisation updated with the rows inserted since is
-        returned when it has that many rows and they are within _ORTHO_TOL
-        of orthonormal; otherwise the whole buffer is decomposed.
+        The carried factorisation, updated with the rows inserted since if
+        there are any, is returned when it has that many rows and they are
+        within _ORTHO_TOL of orthonormal; otherwise the whole buffer is
+        decomposed.
         """
         try:
             if self._vt is not None:
-                s, vt = self._updated_svd()
+                if self.next_zero_row == len(self._s):
+                    s, vt = self._s, self._vt
+                else:
+                    s, vt = self._updated_svd()
                 n = used(s)
                 if n <= len(s):
                     drift = np.abs(vt[:n] @ vt[:n].T - np.eye(n)).max(initial=0.0)

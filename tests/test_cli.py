@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ssbc
 from ssbc import evaluation, lsh_encode_batch, lsh_train
 from ssbc.cli import main
 from ssbc.data import load_csv, synth_uniform
@@ -209,3 +213,99 @@ def test_theory_check_exhaustive_and_guard(tmp_path, capsys):
 def test_cli_usage_errors_exit_one():
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
+
+
+def test_truth_threshold_zero_is_rejected_not_replaced_by_sigma(tmp_path, capsys):
+    assert main(run_args(tmp_path, "z", "--truth-threshold", "0")) == 1
+    assert "threshold must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "z.report.json").exists()
+    code = main(["sweep", "--uniform", "80", "--dim", "6", "--train", "40",
+                 "--test", "40", "--methods", "lsh", "--k-list", "4",
+                 "--truth-threshold", "0", "--out-prefix", str(tmp_path / "zs")])
+    assert code == 1
+    payload = json.loads((tmp_path / "zs.report.json").read_text())
+    assert payload["reports"] == []
+    assert payload["failures"] == [["lsh", 4, "ParameterError"]]
+    assert payload["config"]["resolved_threshold"] == 0.0
+
+
+def test_theory_check_rejects_zero_seeds(tmp_path, capsys):
+    args = ["theory-check", "--uniform", "40", "--dim", "4", "--seeds", "0",
+            "--sigma-mode", "fixed", "--sigma-value", "0.4",
+            "--out-prefix", str(tmp_path / "t0")]
+    assert main(args) == 1
+    assert "seeds must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "t0.theory.json").exists()
+
+
+# the settings every run/sweep cell reads, as echoed under "config"
+CELL_KEYS = {"method", "k", "epsilon", "sigma_mode", "sigma_value",
+             "truth_threshold", "hamming_radius", "seed", "data", "uniform",
+             "dim", "data_seed", "delimiter", "has_header", "drop_columns",
+             "drop_missing_rows", "zscore", "train", "test", "split_seed",
+             "exact_guard"}
+RESOLVED = {"resolved_sigma", "resolved_threshold", "resolved_radius"}
+
+
+def test_each_config_echo_names_what_its_command_reads(tmp_path):
+    assert main(run_args(tmp_path, "r", "--radius", "2")) == 0
+    _, meta = read_codes(tmp_path / "r.codes")
+    config = meta["config"]
+    assert set(config) == CELL_KEYS | {"packed", "include_train"} | RESOLVED
+    assert (config["hamming_radius"], config["resolved_radius"]) == (2, 2)
+    assert config["data_seed"] == config["split_seed"] == config["seed"] == 3
+    payload = json.loads((tmp_path / "r.report.json").read_text())
+    assert payload["config"] == config
+    assert payload["reports"][0]["params"] == dict(config, radius=2)
+
+    assert main(["sweep", "--uniform", "80", "--dim", "6", "--train", "40",
+                 "--test", "40", "--seed", "1", "--data-seed", "5",
+                 "--methods", "lsh", "--k-list", "4",
+                 "--out-prefix", str(tmp_path / "sw")]) == 0
+    payload = json.loads((tmp_path / "sw.report.json").read_text())
+    config = payload["config"]
+    assert set(config) == ((CELL_KEYS - {"method", "k"}) | {"methods", "k_list"}
+                           | RESOLVED) - {"resolved_radius"}
+    assert (config["methods"], config["k_list"]) == (["lsh"], [4])
+    assert (config["data_seed"], config["split_seed"]) == (5, 1)
+    params = payload["reports"][0]["params"]
+    assert set(params) == CELL_KEYS | RESOLVED | {"radius"}
+    assert (params["method"], params["k"]) == ("lsh", 4)
+
+    theory = ["theory-check", "--uniform", "40", "--dim", "4", "--m", "15",
+              "--ell", "8", "--seeds", "1", "--sigma-mode", "fixed",
+              "--sigma-value", "0.4"]
+    assert main(theory + ["--out-prefix", str(tmp_path / "t")]) == 0
+    config = json.loads((tmp_path / "t.theory.json").read_text())["config"]
+    assert set(config) == {
+        "command", "m", "ell", "seeds", "seed", "exhaustive", "rcond", "guard",
+        "data", "uniform", "dim", "data_seed", "delimiter", "has_header",
+        "drop_columns", "drop_missing_rows", "zscore", "sigma_mode",
+        "sigma_value", "resolved_sigma", "sigma_note", "n"}
+    timings = json.loads((tmp_path / "t.timings.json").read_text())
+    assert timings["config"] == config
+    # the threshold only matters to ground truth, which theory-check never builds
+    assert main(theory + ["--truth-threshold", "0.3",
+                          "--out-prefix", str(tmp_path / "tt")]) == 1
+
+
+def _run_in_subprocess(tmp_path, method, threads):
+    paths = [os.path.dirname(os.path.dirname(ssbc.__file__)),
+             os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    prefix = str(tmp_path / ("%s_t%d" % (method, threads)))
+    subprocess.run([sys.executable, "-m", "ssbc.cli", "run", "--uniform", "1000",
+                    "--train", "200", "--test", "800", "--k", "20", "--seed", "7",
+                    "--method", method, "--out-prefix", prefix],
+                   env=env, check=True, stdout=subprocess.DEVNULL, timeout=300)
+    return prefix
+
+
+@pytest.mark.parametrize("method", ["ssbc_streaming", "ssbc_online"])
+def test_run_outputs_do_not_depend_on_blas_threads(tmp_path, method):
+    one = _run_in_subprocess(tmp_path, method, 1)
+    two = _run_in_subprocess(tmp_path, method, 2)
+    for suffix in (".codes", ".report.json", ".report.csv"):
+        with open(one + suffix, "rb") as a, open(two + suffix, "rb") as b:
+            assert a.read() == b.read(), suffix

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ssbc import (DataError, GuardError, ParameterError, column_norm_diagnostic,
-                  evaluate_retrieval, ground_truth, hamming_matrix, lsh_train,
-                  lsh_encode_batch, mean_average_precision, pr_curve,
+                  evaluation, evaluate_retrieval, ground_truth, hamming_matrix,
+                  lsh_train, lsh_encode_batch, mean_average_precision, pr_curve,
                   precision_recall, rank_by_hamming, retrieve_hamming,
                   spectral_norm, theory_spectral_check)
 from ssbc.data import synth_uniform
@@ -220,6 +220,26 @@ def test_evaluate_retrieval_consistency():
     assert payload["method"] == "lsh"
     assert payload["k"] == 8
     assert payload["pr_curve"][3] == [prec, rec]
+
+
+@pytest.mark.parametrize("same", [True, False])
+def test_evaluate_retrieval_builds_the_hamming_matrix_once(monkeypatch, same):
+    base = synth_uniform(40, 5, 8).points
+    queries = base if same else synth_uniform(15, 5, 9).points
+    model = lsh_train(5, 8, 5)
+    cq, cb = lsh_encode_batch(model, queries), lsh_encode_batch(model, base)
+    truth = ground_truth(queries, base, sigma=0.35)
+    calls = []
+    ham = evaluation.hamming_matrix
+    monkeypatch.setattr(evaluation, "hamming_matrix",
+                        lambda *a: calls.append(a) or ham(*a))
+    report = evaluate_retrieval("lsh", cq, cb, truth)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # with self-exclusion the shared matrix's diagonal is overwritten in place
+    assert report.pr_curve == pr_curve(cq, cb, truth.similar)
+    assert report.map == mean_average_precision(rank_by_hamming(cq, cb),
+                                                truth.similar)
 
 
 def test_evaluate_retrieval_default_radius_and_validation():

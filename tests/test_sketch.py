@@ -296,6 +296,31 @@ def test_basis_folds_in_rows_inserted_since_the_last_shrink(monkeypatch):
     assert sk.next_zero_row == 5 and not full
 
 
+def test_basis_read_right_after_a_shrink_takes_no_svd(monkeypatch):
+    # with no row inserted since the last shrink, the carried pair is the
+    # buffer's factorisation; decomposing its diagonal core again is waste
+    rows, ell = _wide_stream()
+    m = rows.shape[1]
+    sk, ref = FdSketch(ell, m), FullSvdSketch(ell, m)
+    svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    for row in rows[:5 * ell]:
+        shrinks = sk.shrink_count
+        sk.insert(row)
+        ref.insert(row)
+        if sk.shrink_count > shrinks:
+            monkeypatch.setattr(np.linalg, "svd", counting_svd)
+            sk.basis(ell - 1)
+            monkeypatch.setattr(np.linalg, "svd", svd)
+            _assert_gapped_columns_match(sk, ref, ell - 1)
+    assert sk.shrink_count >= 4 and calls == []
+
+
 def test_shrink_rejects_a_carried_basis_that_lost_orthogonality():
     rows, ell = _wide_stream()
     m = rows.shape[1]
