@@ -16,6 +16,9 @@ from .errors import DataError, GuardError, NumericalError, ParameterError, check
 from .affinity import TrainSet, _as_points, affinity_matrix
 from .sketch import FdSketch
 
+# queries per cdist call in ground_truth: bounds its memory, changes no distance
+_QUERY_BLOCK = 256
+
 
 def _as_codes(codes, name="codes"):
     codes = np.asarray(codes)
@@ -33,8 +36,10 @@ def hamming_matrix(codes_query, codes_base):
     b = _as_codes(codes_base, "base codes")
     if q.shape[1] != b.shape[1]:
         raise ParameterError("code lengths differ: %d vs %d" % (q.shape[1], b.shape[1]))
-    k = q.shape[1]
-    return (k - q @ b.T) // 2
+    ham = q @ b.T
+    np.subtract(q.shape[1], ham, out=ham)
+    ham //= 2
+    return ham
 
 
 def _auto_exclude(a, b, exclude_self):
@@ -79,13 +84,14 @@ def ground_truth(queries, base, sigma, threshold=None, exclude_self=None,
     if not (threshold > 0):
         raise ParameterError("threshold must be positive, got %r" % threshold)
     exclude = _auto_exclude(queries, base, exclude_self)
-    dist = cdist(queries, base, "euclidean")
     similar = []
-    for i in range(queries.shape[0]):
-        idx = np.nonzero(dist[i] <= threshold)[0]
-        if exclude:
-            idx = idx[idx != i]
-        similar.append(idx)
+    for start in range(0, queries.shape[0], _QUERY_BLOCK):
+        dist = cdist(queries[start:start + _QUERY_BLOCK], base, "euclidean")
+        for i, row in enumerate(dist, start):
+            idx = np.nonzero(row <= threshold)[0]
+            if exclude:
+                idx = idx[idx != i]
+            similar.append(idx)
     return GroundTruth(queries.shape[0], base.shape[0], similar, sigma,
                        threshold, threshold_note)
 
@@ -132,18 +138,22 @@ def rank_by_hamming(codes_query, codes_base, exclude_self=None):
     """Full base ranking per query by ascending Hamming distance, ties by index."""
     ham = hamming_matrix(codes_query, codes_base)
     exclude = _auto_exclude(codes_query, codes_base, exclude_self)
-    return _rank(ham, exclude)
+    return [_ranking(ham, i, exclude) for i in range(ham.shape[0])]
 
 
-def _rank(ham, exclude):
-    """rank_by_hamming from the Hamming matrix."""
-    rankings = []
-    for i in range(ham.shape[0]):
-        order = np.argsort(ham[i], kind="stable")
-        if exclude:
-            order = order[order != i]
-        rankings.append(order)
-    return rankings
+def _ranking(ham, i, exclude):
+    """Base indices by ascending Hamming distance from query i, ties by index."""
+    order = np.argsort(ham[i], kind="stable")
+    return order[order != i] if exclude else order
+
+
+def _average_precision(order, tru):
+    """Precision at the rank of each item of tru (non-empty) in order, averaged."""
+    ranks = np.nonzero(np.isin(order, np.asarray(tru, dtype=np.int64)))[0] + 1
+    if ranks.size == 0:
+        return 0.0
+    hits = np.arange(1, ranks.size + 1, dtype=np.int64)
+    return math.fsum(hits / ranks) / ranks.size
 
 
 def mean_average_precision(ranked_lists, truth):
@@ -156,23 +166,9 @@ def mean_average_precision(ranked_lists, truth):
     if len(ranked_lists) != len(truth):
         raise ParameterError("rankings and truth cover %d vs %d queries"
                              % (len(ranked_lists), len(truth)))
-    aps = []
-    for order, tru in zip(ranked_lists, truth):
-        tru = np.asarray(tru, dtype=np.int64)
-        if tru.size == 0:
-            continue
-        order = np.asarray(order, dtype=np.int64)
-        rel = np.isin(order, tru)
-        ranks = np.nonzero(rel)[0] + 1
-        if ranks.size == 0:
-            aps.append(0.0)
-            continue
-        hits = np.arange(1, ranks.size + 1, dtype=np.int64)
-        terms = hits / ranks
-        aps.append(math.fsum(terms) / ranks.size)
-    if not aps:
-        return 1.0
-    return math.fsum(aps) / len(aps)
+    aps = [_average_precision(np.asarray(order, dtype=np.int64), tru)
+           for order, tru in zip(ranked_lists, truth) if len(tru)]
+    return math.fsum(aps) / len(aps) if aps else 1.0
 
 
 def pr_curve(codes_query, codes_base, truth, exclude_self=None):
@@ -248,7 +244,8 @@ def evaluate_retrieval(method, codes_query, codes_base, truth, radius=None,
     """Run the whole metric suite for one set of codes against a ground truth.
 
     The headline precision/recall is read off the radius sweep at the given
-    radius (default floor(k/4)); MAP uses the full ranking.
+    radius (default floor(k/4)); MAP uses the full ranking of each
+    query, scored as soon as it is taken, so no ranking list is kept.
     """
     k = int(np.asarray(codes_query).shape[1])
     if radius is None:
@@ -259,13 +256,12 @@ def evaluate_retrieval(method, codes_query, codes_base, truth, radius=None,
                              % (truth.query_count, np.asarray(codes_query).shape[0]))
     ham = hamming_matrix(codes_query, codes_base)
     exclude = _auto_exclude(codes_query, codes_base, exclude_self)
-    ranked = _rank(ham, exclude)
-    # _pr_curve may overwrite the diagonal, so it reads the matrix last; the
-    # n x n matrix is released before MAP, which does not need it
+    aps = [_average_precision(_ranking(ham, i, exclude), tru)
+           for i, tru in enumerate(truth.similar) if len(tru)]
+    map_score = math.fsum(aps) / len(aps) if aps else 1.0
+    # _pr_curve may overwrite the diagonal, so it reads the matrix last
     curve = _pr_curve(ham, k, truth.similar, exclude)
-    del ham
     precision, recall = curve[radius]
-    map_score = mean_average_precision(ranked, truth.similar)
     run_params = dict(params or {})
     run_params.setdefault("radius", radius)
     return EvalReport(method, k, run_params, precision, recall, map_score, curve)

@@ -22,11 +22,27 @@ sketch carries (s', V^T) and factors only the p rows inserted since
 (Brand 2006, "Fast low-rank modifications of the thin SVD"): two
 Gram-Schmidt passes project the new rows onto V^T (on correlated rows such
 as affinities, one pass leaves the new directions measurably
-non-orthogonal to V^T), the residual is QR-factored, and an SVD of the
+non-orthogonal to V^T), the residual is QR-factored, and the SVD of the
 square core followed by a rotation yields the buffer's singular values and
 right singular vectors. A shrink applies the rule above to them; a basis
 read takes the top k, straight from the carried pair when no row was
 inserted since the last shrink.
+
+Nearly every shrink follows a single insert, and then the core is the
+arrowhead K = [[diag(s), 0], [p, rho]]: K^T K = diag(s^2, 0) + z z^T with
+z = [p, rho] is a rank-one update of a diagonal. Its eigenvalues are the
+roots of the secular equation, found one by one by LAPACK dlasd4 in O(r)
+each, the divide-and-conquer step of Gu & Eisenstat (1995, "A
+divide-and-conquer algorithm for the bidiagonal SVD"). The eigenvectors
+(D^2 - sigma_i^2)^-1 z are built, as LAPACK dlasd8 does, from a z
+recomputed from the computed roots by the Loewner formula: the roots are
+exact for that z, so the vectors are orthogonal by construction rather
+than only as far as the roots are accurate. The core is decomposed by
+a general SVD instead when more than one row was inserted, when some z_j
+is negligible (rho = 0 among them), when two diagonal entries of
+[s, 0] are tied, when dlasd4 reports failure, or when a recomputed z_j^2
+is not positive. The cutoff for negligible and tied is LAPACK dlasd2's
+deflation tolerance.
 
 A full SVD of the buffer is taken only
   * before the first shrink, when nothing is carried yet;
@@ -39,11 +55,52 @@ A full SVD of the buffer is taken only
 """
 
 import numpy as np
+from scipy.linalg.lapack import dlasd4
 
 from .errors import NumericalError, ParameterError, check_int
 
 # largest entry of |Vt Vt^T - I| a carried factorisation may have
 _ORTHO_TOL = 1e-9
+# LAPACK dlasd2's deflation tolerance is _DEFLATE_TOL * max(|d|, |z|)
+_DEFLATE_TOL = 64 * np.finfo(np.float64).eps
+
+
+def _arrowhead_svd(s, p, rho):
+    """Singular values and right singular rows of K = [[diag(s), 0], [p, rho]].
+
+    s is positive and non-increasing. Returns None where the secular solve
+    is not used (see the module docstring); the caller then takes an SVD of
+    K. LAPACK orders d = [0, s] ascending, the reverse of K's index order,
+    and dlasd4's delta * work is d_j^2 - sigma_i^2 to high relative
+    accuracy.
+    """
+    if not len(s):
+        return None  # a 1 x 1 core; dlasd4 leaves delta and work unset
+    d = np.concatenate(([0.0], s[::-1]))
+    z = np.append(p, rho)[::-1]
+    znorm = np.linalg.norm(z)
+    tol = _DEFLATE_TOL * max(d[-1], znorm)
+    if np.abs(z).min() <= tol or np.diff(d).min() <= tol:
+        return None
+    n = len(d)
+    unit = z / znorm
+    sigma = np.empty(n)
+    gap = np.empty((n, n))  # gap[j, i] = d_j^2 - sigma_i^2
+    for i in range(n):
+        delta, sigma[i], work, info = dlasd4(i, d, unit, znorm * znorm)
+        if info:
+            return None
+        gap[:, i] = delta * work
+    # Loewner: zhat_j^2 = prod_i (sigma_i^2 - d_j^2) / prod_{i != j} (d_i^2 - d_j^2),
+    # each root paired with an adjacent pole so every ratio lies in (0, 1)
+    d2 = (d[:, None] - d) * (d[:, None] + d)
+    poles = np.where(np.tri(n, n - 1, -1, dtype=bool), d2[:, :-1], d2[:, 1:])
+    zhat2 = -gap[:, -1] * np.prod(gap[:, :-1] / poles, axis=1)
+    if not np.all(zhat2 > 0):
+        return None
+    w = np.copysign(np.sqrt(zhat2), z)[:, None] / gap
+    w /= np.linalg.norm(w, axis=0)
+    return sigma[::-1], w[::-1, ::-1].T
 
 
 class FdSketch:
@@ -144,7 +201,8 @@ class FdSketch:
         B = K [Vt; Q^T] with the square core K = [[diag(s), 0], [P, R^T]],
         and the SVD K = U diag(s') W^T gives B's singular values s' and
         right singular rows W^T [Vt; Q^T]. Only the next_zero_row-square
-        core is decomposed, not the ell x m buffer.
+        core is decomposed, not the ell x m buffer: by the secular solve
+        when one row was inserted, by an SVD otherwise.
         """
         nz = len(self._s)
         vt = self._vt
@@ -155,12 +213,17 @@ class FdSketch:
         resid -= coef2 @ vt
         coef += coef2
         q, r = np.linalg.qr(resid.T)
+        rows = np.vstack([vt, q.T])
+        if len(new) == 1:
+            arrow = _arrowhead_svd(self._s, coef[0], r[0, 0])
+            if arrow is not None:
+                return arrow[0], arrow[1] @ rows
         core = np.zeros((self.next_zero_row, self.next_zero_row))
         core[:nz, :nz] = np.diag(self._s)
         core[nz:, :nz] = coef
         core[nz:, nz:] = r.T
         _, s, wt = np.linalg.svd(core, full_matrices=False)
-        return s, wt @ np.vstack([vt, q.T])
+        return s, wt @ rows
 
     def basis(self, k):
         """First k right singular vectors of the buffer, as an m x k matrix.

@@ -289,23 +289,37 @@ def test_each_config_echo_names_what_its_command_reads(tmp_path):
                           "--out-prefix", str(tmp_path / "tt")]) == 1
 
 
-def _run_in_subprocess(tmp_path, method, threads):
+def _run_in_subprocess(tmp_path, tag, threads, command):
     paths = [os.path.dirname(os.path.dirname(ssbc.__file__)),
              os.environ.get("PYTHONPATH")]
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    prefix = str(tmp_path / ("%s_t%d" % (method, threads)))
-    subprocess.run([sys.executable, "-m", "ssbc.cli", "run", "--uniform", "1000",
-                    "--train", "200", "--test", "800", "--k", "20", "--seed", "7",
-                    "--method", method, "--out-prefix", prefix],
+    prefix = str(tmp_path / ("%s_t%d" % (tag, threads)))
+    subprocess.run([sys.executable, "-m", "ssbc.cli"] + command
+                   + ["--uniform", "1000", "--train", "200", "--test", "800",
+                      "--seed", "7", "--out-prefix", prefix],
                    env=env, check=True, stdout=subprocess.DEVNULL, timeout=300)
     return prefix
 
 
-@pytest.mark.parametrize("method", ["ssbc_streaming", "ssbc_online"])
-def test_run_outputs_do_not_depend_on_blas_threads(tmp_path, method):
-    one = _run_in_subprocess(tmp_path, method, 1)
-    two = _run_in_subprocess(tmp_path, method, 2)
-    for suffix in (".codes", ".report.json", ".report.csv"):
+def _assert_same_under_one_and_two_threads(tmp_path, tag, command, suffixes):
+    one = _run_in_subprocess(tmp_path, tag, 1, command)
+    two = _run_in_subprocess(tmp_path, tag, 2, command)
+    for suffix in suffixes:
         with open(one + suffix, "rb") as a, open(two + suffix, "rb") as b:
             assert a.read() == b.read(), suffix
+
+
+@pytest.mark.parametrize("method", ["ssbc_streaming", "ssbc_online", "lsh",
+                                    "exact_d", "exact_r"])
+def test_run_outputs_do_not_depend_on_blas_threads(tmp_path, method):
+    _assert_same_under_one_and_two_threads(
+        tmp_path, method, ["run", "--k", "20", "--method", method],
+        (".codes", ".report.json", ".report.csv"))
+
+
+def test_sweep_outputs_do_not_depend_on_blas_threads(tmp_path):
+    _assert_same_under_one_and_two_threads(
+        tmp_path, "sweep",
+        ["sweep", "--methods", "ssbc_streaming,lsh", "--k-list", "8,16"],
+        (".report.json", ".report.csv"))

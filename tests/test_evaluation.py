@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,3 +333,21 @@ def test_column_norms_at_least_one():
     out = column_norm_diagnostic(pts, 0.3)
     assert out["cmin"] >= 1.0
     assert out["ratio"] >= 1.0
+
+
+def test_evaluation_peak_memory_stays_below_half_the_dense_footprint():
+    # the dense footprint is the n x n float64 distance matrix plus n
+    # rankings of n - 1 int64 indices; evaluation holds neither whole
+    n = 3000
+    pts = synth_uniform(n, 5, 11).points
+    codes = np.where(np.random.default_rng(11).random((n, 16)) < 0.5, -1, 1)
+    dense = n * n * 8 + n * (n - 1) * 8
+    tracemalloc.start()
+    try:
+        truth = ground_truth(pts, pts, 0.1)
+        report = evaluate_retrieval("m", codes, codes, truth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < report.map < 1.0
+    assert peak < dense / 2, peak

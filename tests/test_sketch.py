@@ -268,6 +268,34 @@ def test_only_the_first_shrink_takes_a_full_svd(monkeypatch, stream):
     assert full == [0] * ell
 
 
+@pytest.mark.parametrize("stream", [_wide_stream, _affinity_stream])
+def test_one_row_shrinks_take_no_svd(monkeypatch, stream):
+    # a shrink that folds one new row into the carried factorisation solves
+    # its arrowhead core by the secular equation; an SVD of any shape there
+    # means the solve fell back
+    rows, ell = stream()
+    m = rows.shape[1]
+    sk = FdSketch(ell, m)
+    svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    one_row = 0
+    for row in rows:
+        folds_one = (sk._s is not None
+                     and len(sk._s) == sk.next_zero_row == sk.ell - 1)
+        shrinks, before = sk.shrink_count, len(calls)
+        sk.insert(row)
+        if folds_one:
+            one_row += 1
+            assert sk.shrink_count == shrinks + 1 and calls[before:] == []
+    assert one_row > 500
+
+
 def test_basis_folds_in_rows_inserted_since_the_last_shrink(monkeypatch):
     # three unit rows tie with the ell-th singular value, so the first shrink
     # frees three rows; the reads after the next inserts must combine the
