@@ -190,7 +190,11 @@ def _load_dataset(args):
     if (args.data is None) == (args.uniform is None):
         raise ParameterError("exactly one of --data and --uniform is required")
     if args.data is not None:
-        drops = [int(tok) for tok in args.drop_columns.split(",") if tok.strip()]
+        try:
+            drops = [int(tok) for tok in args.drop_columns.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise ParameterError("--drop-columns takes comma-separated integers, got %r"
+                                 % args.drop_columns) from exc
         ds = data.load_csv(args.data, delimiter=args.delimiter,
                            has_header=args.has_header, drop_columns=drops,
                            drop_rows_with_missing=args.drop_missing_rows)

@@ -69,12 +69,14 @@ def load_csv(path, delimiter=",", has_header=False, drop_columns=(),
              drop_rows_with_missing=False, name=None):
     """Read a numeric CSV into a Dataset.
 
-    drop_columns lists 0-based indices (counted before dropping) to discard.
-    Cells that are empty, unparseable, or non-finite make the row either get
-    dropped (drop_rows_with_missing=True) or abort the load. Rows of the
-    wrong width are treated the same way.
+    delimiter is one character. drop_columns lists 0-based integer indices
+    (counted before dropping) to discard. Cells that are empty, unparseable,
+    or non-finite make the row either get dropped (drop_rows_with_missing=True)
+    or abort the load. Rows of the wrong width are treated the same way.
     """
-    drop = set(int(c) for c in drop_columns)
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ParameterError("delimiter must be one character, got %r" % (delimiter,))
+    drop = set(check_int(c, "drop column index", 0) for c in drop_columns)
     rows = []
     width = None
     try:

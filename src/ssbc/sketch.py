@@ -1,32 +1,30 @@
 """Frequent Directions sketch over a stream of m-dimensional rows.
 
-The sketch keeps an ell x m buffer B. Rows are written into zero rows of
-the buffer; once no zero row remains, a shrink step runs: take the SVD of
-B, subtract the ell-th squared singular value from all squared singular
-values (clamping at zero), and rebuild B as diag(s') V^T. This guarantees
+FD keeps an ell x m buffer B. Rows go into zero rows of B; once no zero
+row remains, a shrink step runs: take the SVD of B, subtract the ell-th
+squared singular value from all squared singular values (clamping at
+zero), and set B = diag(s') V^T. This guarantees
 ||A^T A - B^T B||_2 <= 2 ||A||_F^2 / ell over the whole stream A, with
 A^T A - B^T B positive semidefinite.
 
-One subtlety is worth spelling out: the shrunk values are computed from a
-single squared array (s2 = s * s, delta = s2[ell-1]) rather than from a
-separately squared scalar. Vectorised and scalar squaring can disagree by
-one ulp, which would leave the last shrunk value a tiny positive number
-instead of exactly zero and the buffer with no free row.
+The shrunk values come from a single squared array (s2 = s * s,
+delta = s2[ell-1]), not from a separately squared scalar: vectorised and
+scalar squaring can disagree by one ulp, which would leave the last shrunk
+value a tiny positive number instead of zero and the buffer no free row.
 
-One factorisation serves both the shrink and the basis read. Each shrink
-frees about one row, so a shrink follows nearly every insert, and in
-online use a basis read follows every insert as well; a full SVD of the
-ell x m buffer at each would dominate the cost of a stream. After a shrink
-the buffer's nonzero rows are diag(s') V^T with orthonormal V^T, so the
-sketch carries (s', V^T) and factors only the p rows inserted since
+After a shrink B is diag(s') V^T with orthonormal V^T, so the sketch
+stores B factored, as (s', V^T) and the rows inserted since, and builds
+the ell x m array only when `buffer` is read. Each shrink frees about one
+row, so a shrink follows nearly every insert, and in online use a basis
+read follows every insert as well; a full SVD of B at each would dominate
+the cost of a stream. Both instead factor only the p rows inserted since
 (Brand 2006, "Fast low-rank modifications of the thin SVD"): two
 Gram-Schmidt passes project the new rows onto V^T (on correlated rows such
 as affinities, one pass leaves the new directions measurably
 non-orthogonal to V^T), the residual is QR-factored, and the SVD of the
 square core followed by a rotation yields the buffer's singular values and
 right singular vectors. A shrink applies the rule above to them; a basis
-read takes the top k, straight from the carried pair when no row was
-inserted since the last shrink.
+read takes the top k, straight from the carried pair if no row is pending.
 
 Nearly every shrink follows a single insert, and then the core is the
 arrowhead K = [[diag(s), 0], [p, rho]]: K^T K = diag(s^2, 0) + z z^T with
@@ -44,14 +42,12 @@ is negligible (rho = 0 among them), when two diagonal entries of
 is not positive. The cutoff for negligible and tied is LAPACK dlasd2's
 deflation tolerance.
 
-A full SVD of the buffer is taken only
-  * before the first shrink, when nothing is carried yet;
-  * for a tall buffer (ell > m), where ell orthonormal rows do not exist
-    and nothing is carried;
-  * when the rows the caller uses (the kept rows for a shrink, the top k
-    for a basis read) are further than _ORTHO_TOL (largest entry of
-    |V^T V - I|) from orthonormal;
-  * for a basis read of more rows than the buffer holds.
+The buffer is built and decomposed by a full SVD only where nothing is
+carried (before the first shrink, and in a tall sketch, ell > m, where ell
+orthonormal rows do not exist); when the rows the caller uses (the kept
+rows for a shrink, the top k for a basis read) are further than
+_ORTHO_TOL (largest entry of |V^T V - I|) from orthonormal; and for a
+basis read of more rows than the sketch holds.
 """
 
 import numpy as np
@@ -104,60 +100,67 @@ def _arrowhead_svd(s, p, rho):
 
 
 class FdSketch:
-    """Frequent Directions buffer with structural zero-row tracking.
+    """Frequent Directions sketch held as factors plus pending rows.
 
-    Rows at index >= next_zero_row are exactly zero; zero rows are tracked
-    structurally (never by scanning values) because a legitimately inserted
-    row may contain zeros.
-
-    The buffer is always materialised. Alongside it, each shrink keeps the
-    factorisation (s', V^T) of the rows it left. shrink() and basis() both
-    get the buffer's SVD by updating it with the rows inserted since, and
-    decompose the whole buffer only in the cases the module lists.
+    The state is the pair (s, V^T) the last shrink kept, s positive, and
+    the rows inserted since; `buffer` builds [diag(s) V^T; pending; zeros]
+    on each read. Before the first shrink and in a tall sketch (ell > m)
+    nothing is carried and every row held is pending.
     """
 
     def __init__(self, ell, m):
         self.ell = check_int(ell, "ell", 2)
         self.m = check_int(m, "m", 1)
-        self.buffer = np.zeros((self.ell, self.m))
-        self.next_zero_row = 0
         self.rows_seen = 0
         self.shrink_count = 0
-        # (s, Vt) with buffer[:len(s)] == diag(s) Vt, kept by the last shrink
-        self._s = None
+        # kept by the last shrink of a wide sketch; _vt is None until then
+        self._s = np.zeros(0)
         self._vt = None
+        self._pending = []
+
+    @property
+    def next_zero_row(self):
+        """Count of rows held: the index of the buffer's first zero row."""
+        return len(self._s) + len(self._pending)
+
+    @property
+    def buffer(self):
+        """The ell x m buffer, as a new array."""
+        buf = np.zeros((self.ell, self.m))
+        nz = len(self._s)
+        if nz:
+            buf[:nz] = self._s[:, None] * self._vt
+        buf[nz:self.next_zero_row] = np.reshape(self._pending, (-1, self.m))
+        return buf
 
     def insert(self, row):
         """Insert one row; shrink if the buffer is left with no zero row."""
-        row = np.asarray(row, dtype=np.float64)
+        row = np.array(row, dtype=np.float64)
         if row.shape != (self.m,):
-            raise ParameterError(
-                "row has shape %r, expected (%d,)" % (row.shape, self.m)
-            )
-        self.buffer[self.next_zero_row] = row
-        self.next_zero_row += 1
+            raise ParameterError("row has shape %r, expected (%d,)"
+                                 % (row.shape, self.m))
+        self._pending.append(row)
         self.rows_seen += 1
         if self.next_zero_row == self.ell:
             self.shrink()
 
     def shrink(self):
-        """Subtract the ell-th squared singular value and rebuild the buffer.
+        """Subtract the ell-th squared singular value from every one.
 
         Invoked by insert when the buffer fills. Every row whose shrunk
         singular value is exactly zero is freed, so repeated singular values
-        tied with the ell-th release more than one row at once. When the
-        buffer is taller than wide (ell > m, legal but wasteful) the ell-th
-        singular value is structurally zero and the shrink is lossless.
+        tied with the ell-th release more than one row at once. In a tall
+        sketch (ell > m, legal but wasteful) the ell-th singular value is
+        structurally zero, the shrink is lossless, and the kept rows stay
+        pending.
         """
         s, vt = self._svd(lambda s: self._shrunk_values(s)[1])
         shrunk, nz = self._shrunk_values(s)
-        self.buffer = np.zeros((self.ell, self.m))
-        self.buffer[:nz] = shrunk[:nz, None] * vt[:nz]
-        self.next_zero_row = nz
         self.shrink_count += 1
         if self.ell <= self.m:
-            self._s = shrunk[:nz]
-            self._vt = vt[:nz]
+            self._s, self._vt, self._pending = shrunk[:nz], vt[:nz], []
+        else:
+            self._pending = list(shrunk[:nz, None] * vt[:nz])
 
     def _shrunk_values(self, s):
         """Shrunk singular values and the count of nonzero ones."""
@@ -170,17 +173,13 @@ class FdSketch:
         """Singular values and right singular rows of the buffer.
 
         used(s) is how many leading right singular rows the caller reads.
-        The carried factorisation, updated with the rows inserted since if
-        there are any, is returned when it has that many rows and they are
-        within _ORTHO_TOL of orthonormal; otherwise the whole buffer is
-        decomposed.
+        The carried factorisation, updated with the pending rows if there
+        are any, is returned when it has that many rows and they are within
+        _ORTHO_TOL of orthonormal; otherwise the whole buffer is decomposed.
         """
         try:
             if self._vt is not None:
-                if self.next_zero_row == len(self._s):
-                    s, vt = self._s, self._vt
-                else:
-                    s, vt = self._updated_svd()
+                s, vt = self._updated_svd() if self._pending else (self._s, self._vt)
                 n = used(s)
                 if n <= len(s):
                     drift = np.abs(vt[:n] @ vt[:n].T - np.eye(n)).max(initial=0.0)
@@ -192,21 +191,19 @@ class FdSketch:
         return s, vt
 
     def _updated_svd(self):
-        """Singular values and right singular rows of the filled buffer rows.
+        """Singular values and right singular rows of the rows held.
 
-        Buffer rows [0, nz) equal diag(s) Vt for the carried (s, Vt); the
-        rows C = buffer[nz:next_zero_row] inserted since are split as
+        These are diag(s) Vt for the carried (s, Vt), then the pending rows
         C = P Vt + R^T Q^T, with P from two Gram-Schmidt passes against Vt
         and Q R the QR factorisation of the residual's transpose. Then
         B = K [Vt; Q^T] with the square core K = [[diag(s), 0], [P, R^T]],
         and the SVD K = U diag(s') W^T gives B's singular values s' and
-        right singular rows W^T [Vt; Q^T]. Only the next_zero_row-square
-        core is decomposed, not the ell x m buffer: by the secular solve
-        when one row was inserted, by an SVD otherwise.
+        right singular rows W^T [Vt; Q^T]. K is decomposed by the secular
+        solve when one row is pending, by an SVD otherwise.
         """
         nz = len(self._s)
         vt = self._vt
-        new = self.buffer[nz:self.next_zero_row]
+        new = np.array(self._pending)
         coef = new @ vt.T
         resid = new - coef @ vt
         coef2 = resid @ vt.T
@@ -230,20 +227,23 @@ class FdSketch:
 
         Columns are ordered by non-increasing singular value. They come from
         the factorisation a shrink uses, so after the first shrink of a wide
-        buffer a read factors only the rows inserted since the last shrink.
-        Each column is flipped so its largest-magnitude entry is positive:
-        the LAPACK sign choice is arbitrary and can change when the buffer
-        changes slightly, which would make codes emitted at different stream
-        positions incomparable. Undefined on a sketch whose buffer holds no
-        data (nothing inserted yet, or every direction annihilated by
-        shrinks).
+        sketch a read factors only the pending rows. Each column is flipped
+        so its largest-magnitude entry is positive: the LAPACK sign choice
+        is arbitrary and can change when the buffer changes slightly, which
+        would make codes emitted at different stream positions incomparable.
+        A read of more columns than the sketch holds rows decomposes the
+        whole buffer; the trailing columns are then an orthonormal
+        completion from its full SVD and carry no data. Undefined, and a
+        NumericalError, on a sketch that holds no data: nothing inserted
+        yet, or every direction annihilated and only zero rows since.
         """
         k = check_int(k, "k", 1)
         if k > self.ell:
             raise ParameterError("k=%d exceeds sketch rows ell=%d" % (k, self.ell))
         if k > self.m:
             raise ParameterError("k=%d exceeds row dimension m=%d" % (k, self.m))
-        if self.next_zero_row == 0 or not self.buffer.any():
+        # a positive carried value always leaves a nonzero buffer row
+        if not len(self._s) and not any(row.any() for row in self._pending):
             raise NumericalError("sketch buffer is all zeros, no basis defined")
         _, vt = self._svd(lambda s: k)
         v = vt[:k].T

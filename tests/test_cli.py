@@ -103,7 +103,7 @@ def test_run_radius_and_threshold_options(tmp_path):
     assert main(run_args(tmp_path, "big", "--radius", "7")) == 1  # > k
 
 
-def test_run_exit_codes(tmp_path):
+def test_run_exit_codes(tmp_path, capsys):
     assert main(run_args(tmp_path, "m", "--method", "bogus")) == 1
     assert main(run_args(tmp_path, "g", "--method", "exact_d",
                          "--exact-guard", "5")) == 3
@@ -118,6 +118,15 @@ def test_run_exit_codes(tmp_path):
     too_big = ["run", "--uniform", "50", "--dim", "4", "--train", "40",
                "--test", "40", "--out-prefix", str(tmp_path / "o")]
     assert main(too_big) == 2  # split wants more points than exist
+    # with a tiny sigma each training affinity row is a unit vector, so the
+    # shrinks annihilate the sketch, and every test row underflows to zero
+    zero = ["run", "--uniform", "300", "--train", "60", "--test", "100",
+            "--dim", "10", "--k", "4", "--method", "ssbc_online",
+            "--sigma-mode", "fixed", "--sigma-value", "1e-6",
+            "--out-prefix", str(tmp_path / "zero")]
+    capsys.readouterr()
+    assert main(zero) == 3
+    assert capsys.readouterr().err.startswith("ssbc: NumericalError: ")
 
 
 def test_out_dir_env_default(tmp_path, monkeypatch):
@@ -213,6 +222,22 @@ def test_theory_check_exhaustive_and_guard(tmp_path, capsys):
 def test_cli_usage_errors_exit_one():
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
+
+
+def test_bad_csv_options_exit_one_with_a_message(tmp_path, capsys):
+    path = tmp_path / "p.csv"
+    path.write_text("".join("%d,%d,%d\n" % (i, i * i, 7 - i) for i in range(8)))
+    for option, value, message in (("--drop-columns", "a", "comma-separated integers"),
+                                   ("--drop-columns", "-1", "drop column index"),
+                                   ("--delimiter", "", "one character"),
+                                   ("--delimiter", ";;", "one character")):
+        argv = ["run", "--data", str(path), "--train", "3", "--test", "4",
+                "--k", "2", "--method", "lsh", "--out-prefix",
+                str(tmp_path / "bad"), option, value]
+        assert main(argv) == 1, (option, value)
+        err = capsys.readouterr().err
+        assert err.startswith("ssbc: ParameterError: ") and message in err, err
+    assert not list(tmp_path.glob("bad.*"))
 
 
 def test_truth_threshold_zero_is_rejected_not_replaced_by_sigma(tmp_path, capsys):

@@ -104,6 +104,19 @@ def test_load_csv_custom_delimiter(tmp_path):
     assert np.array_equal(ds.points, [[1.0, 2.0], [3.0, 4.0]])
 
 
+def test_load_csv_rejects_bad_delimiter_and_drop_columns(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("1.0,2.0\n3.0,4.0\n")
+    for delimiter in ("", ";;", None):
+        with pytest.raises(ParameterError, match="delimiter"):
+            load_csv(path, delimiter=delimiter)
+    for drop in ([-1], ["1"], [1.0]):
+        with pytest.raises(ParameterError, match="drop column"):
+            load_csv(path, drop_columns=drop)
+    assert np.array_equal(load_csv(path, drop_columns=[5]).points,
+                          [[1.0, 2.0], [3.0, 4.0]])
+
+
 def test_save_csv_validation(tmp_path):
     with pytest.raises(ParameterError):
         save_csv(np.zeros(3), tmp_path / "x.csv")

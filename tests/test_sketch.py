@@ -153,10 +153,21 @@ def test_insert_order_robustness():
         assert err <= bound
 
 
-class FullSvdSketch(FdSketch):
-    """Reference FD sketch: a full SVD of the whole buffer at every shrink."""
+class FullSvdSketch:
+    """Reference FD sketch: a materialised buffer, and a full SVD of it at
+    every shrink and every basis read, with FdSketch's sign rule."""
 
-    def shrink(self):
+    def __init__(self, ell, m):
+        self.ell, self.m = ell, m
+        self.buffer = np.zeros((ell, m))
+        self.next_zero_row = self.rows_seen = self.shrink_count = 0
+
+    def insert(self, row):
+        self.buffer[self.next_zero_row] = row
+        self.next_zero_row += 1
+        self.rows_seen += 1
+        if self.next_zero_row < self.ell:
+            return
         _, s, vt = np.linalg.svd(self.buffer, full_matrices=False)
         s2 = s * s
         delta = s2[self.ell - 1] if self.ell <= len(s) else 0.0
@@ -166,6 +177,11 @@ class FullSvdSketch(FdSketch):
         self.buffer[:nz] = shrunk[:nz, None] * vt[:nz]
         self.next_zero_row = nz
         self.shrink_count += 1
+
+    def basis(self, k):
+        v = np.linalg.svd(self.buffer, full_matrices=False)[2][:k].T
+        anchor = v[np.argmax(np.abs(v), axis=0), np.arange(k)]
+        return v * np.where(anchor >= 0, 1.0, -1.0)
 
 
 def _assert_gapped_columns_match(sk, ref, k):
@@ -247,25 +263,36 @@ def _affinity_stream():
 def test_only_the_first_shrink_takes_a_full_svd(monkeypatch, stream):
     # after the first shrink, shrinks and basis reads alike update the
     # factorisation the previous shrink carried; a full SVD of the buffer
-    # there means the update path was bypassed or rejected
+    # there means the update path was bypassed or rejected, and an ell x m
+    # zero-filled array means the buffer was materialised for nothing
     rows, ell = stream()
     m = rows.shape[1]
     sk = FdSketch(ell, m)
-    svd = np.linalg.svd
-    full = []
+    svd, zeros, empty = np.linalg.svd, np.zeros, np.empty
+    full, built = [], []
 
     def counting_svd(a, *args, **kwargs):
         if np.shape(a) == (ell, m):
             full.append(sk.shrink_count)
         return svd(a, *args, **kwargs)
 
+    def counting(make):
+        def wrapper(shape, *args, **kwargs):
+            if np.array_equal(shape, (ell, m)):
+                built.append(sk.shrink_count)
+            return make(shape, *args, **kwargs)
+        return wrapper
+
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np, "zeros", counting(zeros))
+    monkeypatch.setattr(np, "empty", counting(empty))
     for row in rows:
         sk.insert(row)
         sk.basis(ell // 3)
     assert sk.shrink_count > 500
     # the ell - 1 reads before the first shrink, and that shrink
     assert full == [0] * ell
+    assert [c for c in built if c > 0] == []
 
 
 @pytest.mark.parametrize("stream", [_wide_stream, _affinity_stream])
@@ -286,8 +313,7 @@ def test_one_row_shrinks_take_no_svd(monkeypatch, stream):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     one_row = 0
     for row in rows:
-        folds_one = (sk._s is not None
-                     and len(sk._s) == sk.next_zero_row == sk.ell - 1)
+        folds_one = len(sk._s) == sk.next_zero_row == sk.ell - 1
         shrinks, before = sk.shrink_count, len(calls)
         sk.insert(row)
         if folds_one:
@@ -312,13 +338,15 @@ def test_basis_folds_in_rows_inserted_since_the_last_shrink(monkeypatch):
     full = []
 
     def counting_svd(a, *args, **kwargs):
-        if a is sk.buffer:
+        if np.shape(a) == (ell, m):
             full.append(sk.shrink_count)
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     for row in rows[ell:]:
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         sk.insert(row)
+        sk.basis(3)
+        monkeypatch.setattr(np.linalg, "svd", svd)
         ref.insert(row)
         _assert_gapped_columns_match(sk, ref, 3)
     assert sk.next_zero_row == 5 and not full
@@ -359,6 +387,9 @@ def test_shrink_rejects_a_carried_basis_that_lost_orthogonality():
     # stand-in for accumulated rounding drift in the carried factorisation
     sk._vt = sk._vt + 1e-6 * np.random.default_rng(5).standard_normal(
         sk._vt.shape)
+    # the carried factors are the sketch's data, so the reference takes the
+    # perturbed buffer too
+    ref.buffer = sk.buffer
     k = ell - 1
     _assert_gapped_columns_match(sk, ref, k)
     for row in rows[ell:3 * ell]:
@@ -399,6 +430,17 @@ def test_basis_full_width_is_orthonormal():
         sk.insert(row)
     v = sk.basis(3)
     assert np.allclose(v.T @ v, np.eye(3), atol=1e-8)
+    # one direction survives a shrink and one row follows it: the columns
+    # past those two complete the basis and carry no data
+    sk = FdSketch(4, 6)
+    for row in np.eye(6)[:4] * [[2.0], [1.0], [1.0], [1.0]]:
+        sk.insert(row)
+    row = rng.standard_normal(6)
+    sk.insert(row)
+    assert sk.next_zero_row == 2
+    v = sk.basis(4)
+    assert np.allclose(v.T @ v, np.eye(4), atol=1e-12)
+    assert np.allclose(np.vstack([np.eye(6)[0], row]) @ v[:, 2:], 0.0, atol=1e-12)
 
 
 def test_basis_matches_dense_svd():
@@ -424,3 +466,41 @@ def test_basis_errors():
     small.insert([1.0, 2.0])
     with pytest.raises(ParameterError):
         small.basis(3)
+
+
+def test_basis_of_an_annihilated_sketch_raises():
+    # four tied unit rows shrink to nothing; a zero row inserted after that
+    # is held but carries no data, so the sketch is still empty
+    sk = FdSketch(4, 6)
+    for row in np.eye(6)[:4]:
+        sk.insert(row)
+    assert sk.shrink_count == 1 and sk.next_zero_row == 0
+    sk.insert(np.zeros(6))
+    assert sk.next_zero_row == 1
+    with pytest.raises(NumericalError):
+        sk.basis(2)
+    sk.insert(np.eye(6)[5])
+    assert np.allclose(np.abs(sk.basis(1)[:, 0]), np.eye(6)[5])
+
+
+def test_buffer_is_read_only_and_built_from_the_state():
+    # singular values (2, 1, 1, 1) shrink to (sqrt(3), 0, 0, 0): one row is
+    # carried, and the next two rows are held as inserted
+    sk = FdSketch(4, 6)
+    rows = np.random.default_rng(53).standard_normal((2, 6))
+    for row in np.eye(6)[:4] * [[2.0], [1.0], [1.0], [1.0]]:
+        sk.insert(row)
+    for row in rows:
+        sk.insert(row)
+    assert sk.shrink_count == 1 and sk.next_zero_row == 3
+    buf = sk.buffer
+    assert np.allclose(np.abs(buf[0]), np.sqrt(3.0) * np.eye(6)[0], atol=1e-12)
+    assert np.array_equal(buf[1:3], rows)
+    assert np.all(buf[3] == 0)
+    # neither the caller's rows nor the returned array alias the state
+    kept = rows.copy()
+    buf[1] = 0.0
+    rows[0] = 0.0
+    assert np.array_equal(sk.buffer[1:3], kept)
+    with pytest.raises(AttributeError):
+        sk.buffer = np.zeros((4, 6))
