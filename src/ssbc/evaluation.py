@@ -5,9 +5,31 @@ whose true similar set is empty has recall 1, and such queries are left
 out of MAP entirely. Per-query values are single integer-ratio divisions
 and means use math.fsum, so results are reproducible bit for bit against
 a brute-force reimplementation of the same definitions.
+
+Ground truth and evaluation each make one pass over blocks of at most
+_QUERY_BLOCK queries, so neither builds an n x n array:
+
+* Hamming distances come from one float64 BLAS product per block. For +-1
+  codes of length k, q.b counts agreements minus disagreements, so the
+  distance is (k - q.b) / 2. The product is exact: every partial sum is an
+  integer of magnitude at most k, far below 2**53, in whatever order BLAS
+  adds. The block is cast to the smallest unsigned type that holds k + 1
+  (uint8 up to k = 254, uint16 above), and an excluded self match is set to
+  k + 1, beyond every radius.
+* MAP reads each relevant item's rank off one stable argsort of the block's
+  rows and its inverse permutation, so ties keep index order. numpy
+  radix-sorts integers of 16 bits or less. An excluded self sorts last and
+  is never a hit.
+* Ground truth takes candidates from the Gram form ||q||^2 + ||b||^2 -
+  2 q.b, compared with threshold^2 plus a rounding slack that scales with
+  ||q||^2 + ||b||^2 (derived in ground_truth), and confirms every candidate
+  by its exact cdist distance. Each set therefore equals
+  cdist(queries, base) <= threshold. The sets are held as one flat array of
+  the smallest index type from int16 up, plus an offset per query.
 """
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -16,8 +38,9 @@ from .errors import DataError, GuardError, NumericalError, ParameterError, check
 from .affinity import TrainSet, _as_points, affinity_matrix
 from .sketch import FdSketch
 
-# queries per cdist call in ground_truth: bounds its memory, changes no distance
-_QUERY_BLOCK = 256
+# queries per block in ground truth and evaluation: bounds their memory at
+# O(block * n) and changes no result
+_QUERY_BLOCK = 128
 
 
 def _as_codes(codes, name="codes"):
@@ -27,18 +50,38 @@ def _as_codes(codes, name="codes"):
                              % (name, codes.shape))
     if not np.all(np.abs(codes) == 1):
         raise DataError("%s entries must all be -1 or +1" % name)
-    return codes.astype(np.int32)
+    return codes.astype(np.float64)
 
 
-def hamming_matrix(codes_query, codes_base):
-    """Pairwise Hamming distances between two stacks of +-1 codes."""
+def _code_pair(codes_query, codes_base):
     q = _as_codes(codes_query, "query codes")
     b = _as_codes(codes_base, "base codes")
     if q.shape[1] != b.shape[1]:
         raise ParameterError("code lengths differ: %d vs %d" % (q.shape[1], b.shape[1]))
-    ham = q @ b.T
-    np.subtract(q.shape[1], ham, out=ham)
-    ham //= 2
+    return q, b
+
+
+def _hamming_block(q, b, start, exclude):
+    """Hamming distances from query rows start, start+1, ... (at most
+    _QUERY_BLOCK of them) to every base code; with exclude, query i's
+    distance to base i reads k + 1."""
+    k = q.shape[1]
+    prod = q[start:start + _QUERY_BLOCK] @ b.T
+    np.subtract(k, prod, out=prod)
+    prod *= 0.5
+    ham = prod.astype(np.min_scalar_type(k + 1))
+    if exclude:
+        own = np.arange(start, min(start + ham.shape[0], b.shape[0]))
+        ham[own - start, own] = k + 1
+    return ham
+
+
+def hamming_matrix(codes_query, codes_base):
+    """Pairwise Hamming distances between two stacks of +-1 codes, as int32."""
+    q, b = _code_pair(codes_query, codes_base)
+    ham = np.empty((q.shape[0], b.shape[0]), dtype=np.int32)
+    for start in range(0, q.shape[0], _QUERY_BLOCK):
+        ham[start:start + _QUERY_BLOCK] = _hamming_block(q, b, start, False)
     return ham
 
 
@@ -50,8 +93,34 @@ def _auto_exclude(a, b, exclude_self):
     return bool(exclude_self)
 
 
+class SimilarSets(Sequence):
+    """Per-query index sets held as one flat array and the offsets between them.
+
+    Item i is the view flat[ends[i]:ends[i + 1]]; a slice gives a list of
+    such views. Holding no per-query array object keeps a ground truth at
+    the size of its flat array plus 8 bytes per query.
+    """
+
+    def __init__(self, flat, ends):
+        self.flat = flat
+        self.ends = ends
+
+    def __len__(self):
+        return self.ends.size - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]
+        return self.flat[self.ends[i]:self.ends[i + 1]]
+
+
 class GroundTruth:
-    """Per-query sets of truly similar base indices under a Euclidean threshold."""
+    """Per-query sets of truly similar base indices under a Euclidean threshold.
+
+    similar is a sequence with one ascending index array per query: a list,
+    or the SimilarSets that ground_truth builds.
+    """
 
     def __init__(self, query_count, base_count, similar, sigma, threshold,
                  threshold_note=""):
@@ -70,7 +139,10 @@ def ground_truth(queries, base, sigma, threshold=None, exclude_self=None,
     The threshold defaults to sigma itself (the radius that defined the
     bandwidth). Self-matches are dropped automatically when queries and base
     are the identical array; pass exclude_self to force either behaviour
-    (positional: query i corresponds to base i).
+    (positional: query i corresponds to base i). Each query's set is an
+    ascending array of base indices, a view into one flat array shared by all
+    queries; its type is int16 when the base has at most 32 768 points and
+    int32 (int64 past 2**31 points) otherwise.
     """
     queries = _as_points(queries, "queries")
     base = _as_points(base, "base")
@@ -84,14 +156,44 @@ def ground_truth(queries, base, sigma, threshold=None, exclude_self=None,
     if not (threshold > 0):
         raise ParameterError("threshold must be positive, got %r" % threshold)
     exclude = _auto_exclude(queries, base, exclude_self)
-    similar = []
+    # Candidates. |q - b| <= t exactly when q.b - |b|^2/2 >= (|q|^2 - t^2)/2.
+    # Adding tol |b|^2/2 to the left side and taking tol (|q|^2 + t^2)/2 off
+    # the right turns this into the Gram test |q|^2 + |b|^2 - 2 q.b <= t^2 + tol S,
+    # S = |q|^2 + |b|^2 + t^2, at one BLAS product, one subtraction and one
+    # comparison per pair. No pair that cdist accepts is dropped. Let u =
+    # eps/2 and d be the dimension. cdist rounds d differences, their
+    # squares, their sum and its root, so it accepts only pairs with
+    # |q - b|^2 <= t^2 (1 + (d + 5)u), which is (d + 5)u t^2/2 on the half
+    # scale of the test. A length-d dot product, summed in any order, is
+    # within d u |x||y| of its value, so the computed q.b, |q|^2/2 and
+    # |b|^2/2, with the roundings of the scalings and the subtraction, are
+    # off by at most (d + 3)u S in all. With cdist's share that is at most
+    # (3d + 11)u S/2, below the slack tol S/2 = (4d + 12)u S/2. Candidates
+    # are then confirmed by cdist itself.
+    tol = 2 * (queries.shape[1] + 3) * np.finfo(np.float64).eps
+    t2 = threshold * threshold
+    half_b = (1 - tol) / 2 * np.einsum("ij,ij->i", base, base)
+    n_b = base.shape[0]
+    index_type = np.promote_types(np.min_scalar_type(-n_b), np.int16)
+    kept = []
     for start in range(0, queries.shape[0], _QUERY_BLOCK):
-        dist = cdist(queries[start:start + _QUERY_BLOCK], base, "euclidean")
-        for i, row in enumerate(dist, start):
-            idx = np.nonzero(row <= threshold)[0]
+        block = queries[start:start + _QUERY_BLOCK]
+        floor = ((1 - tol) * np.einsum("ij,ij->i", block, block) - (1 + tol) * t2) / 2
+        gram = block @ base.T
+        gram -= half_b
+        near = np.flatnonzero(gram >= floor[:, None])
+        del gram
+        bounds = np.searchsorted(near, n_b * np.arange(block.shape[0] + 1))
+        for r in range(block.shape[0]):
+            i = start + r
+            cols = near[bounds[r]:bounds[r + 1]] - r * n_b
+            idx = cols[cdist(queries[i:i + 1], base[cols])[0] <= threshold]
             if exclude:
                 idx = idx[idx != i]
-            similar.append(idx)
+            kept.append(idx.astype(index_type))
+    ends = np.zeros(len(kept) + 1, dtype=np.int64)
+    np.cumsum([s.size for s in kept], out=ends[1:])
+    similar = SimilarSets(np.concatenate(kept), ends)
     return GroundTruth(queries.shape[0], base.shape[0], similar, sigma,
                        threshold, threshold_note)
 
@@ -138,13 +240,11 @@ def rank_by_hamming(codes_query, codes_base, exclude_self=None):
     """Full base ranking per query by ascending Hamming distance, ties by index."""
     ham = hamming_matrix(codes_query, codes_base)
     exclude = _auto_exclude(codes_query, codes_base, exclude_self)
-    return [_ranking(ham, i, exclude) for i in range(ham.shape[0])]
-
-
-def _ranking(ham, i, exclude):
-    """Base indices by ascending Hamming distance from query i, ties by index."""
-    order = np.argsort(ham[i], kind="stable")
-    return order[order != i] if exclude else order
+    ranked = []
+    for i, row in enumerate(ham):
+        order = np.argsort(row, kind="stable")
+        ranked.append(order[order != i] if exclude else order)
+    return ranked
 
 
 def _average_precision(order, tru):
@@ -177,42 +277,71 @@ def pr_curve(codes_query, codes_base, truth, exclude_self=None):
     Arithmetic matches precision_recall over retrieve_hamming at each r
     exactly; this just avoids materialising the index sets k+1 times.
     """
-    ham = hamming_matrix(codes_query, codes_base)
-    k = np.asarray(codes_query).shape[1]
-    exclude = _auto_exclude(codes_query, codes_base, exclude_self)
-    return _pr_curve(ham, k, truth, exclude)
+    return _sweep(codes_query, codes_base, truth, exclude_self, False)[0]
 
 
-def _pr_curve(ham, k, truth, exclude):
-    """pr_curve from the Hamming matrix of k-bit codes.
+def _block_aps(ham, rows, cols, exclude_from):
+    """Average precision of each row of the Hamming block ham that has truth.
 
-    With exclude, the diagonal of ham is set to k + 1 in place, out of reach
-    of every radius.
+    rows and cols list the block's (row, relevant base index) pairs, rows
+    ascending. With exclude_from set to the block's first query index,
+    query i's own base index is not a hit. Returns one AP per row that
+    appears in rows, in row order.
     """
-    n_q = ham.shape[0]
+    need, local = np.unique(rows, return_inverse=True)
+    if exclude_from is not None:
+        keep = cols != rows + exclude_from
+        local, cols = local[keep], cols[keep]
+    n_b = ham.shape[1]
+    order = np.argsort(ham[need], axis=1, kind="stable")
+    place = np.empty(order.shape, dtype=np.int32)
+    positions = np.arange(n_b, dtype=np.int32)
+    for row, row_order in zip(place, order):
+        row[row_order] = positions
+    hit_rows, pos = np.divmod(np.sort(local * n_b + place[local, cols]), n_b)
+    ranks = pos + 1
+    found = np.bincount(hit_rows, minlength=need.size)
+    firsts = np.cumsum(found) - found
+    hits = np.arange(1, ranks.size + 1, dtype=np.int64) - np.repeat(firsts, found)
+    terms = (hits / ranks).tolist()
+    return [math.fsum(terms[a:a + m]) / m if m else 0.0
+            for a, m in zip(firsts.tolist(), found.tolist())]
+
+
+def _sweep(codes_query, codes_base, truth, exclude_self, with_map):
+    """(PR curve, MAP) in one pass over query blocks; MAP is None unless
+    with_map."""
+    q, b = _code_pair(codes_query, codes_base)
+    n_q, k = q.shape
     if len(truth) != n_q:
         raise ParameterError("truth covers %d queries, codes %d" % (len(truth), n_q))
-    if exclude:
-        np.fill_diagonal(ham, k + 1)
-    ret_at = np.zeros((n_q, k + 1), dtype=np.int64)
-    inter_at = np.zeros((n_q, k + 1), dtype=np.int64)
-    truth_sizes = np.zeros(n_q, dtype=np.int64)
-    for i in range(n_q):
-        counts = np.bincount(ham[i], minlength=k + 2)[:k + 1]
-        ret_at[i] = np.cumsum(counts)
-        tru = np.asarray(truth[i], dtype=np.int64)
-        truth_sizes[i] = tru.size
-        if tru.size:
-            rel_counts = np.bincount(ham[i][tru], minlength=k + 2)[:k + 1]
-            inter_at[i] = np.cumsum(rel_counts)
+    exclude = _auto_exclude(codes_query, codes_base, exclude_self)
+    ret_at = np.empty((n_q, k + 1), dtype=np.int64)
+    inter_at = np.empty((n_q, k + 1), dtype=np.int64)
+    sizes = np.array([len(t) for t in truth], dtype=np.int64)
+    aps = []
+    for start in range(0, n_q, _QUERY_BLOCK):
+        ham = _hamming_block(q, b, start, exclude)
+        n_rows = ham.shape[0]
+        rows = np.repeat(np.arange(n_rows), sizes[start:start + n_rows])
+        cols = np.concatenate([np.asarray(t, dtype=np.intp).reshape(-1)
+                               for t in truth[start:start + n_rows]])
+        counts = [np.bincount(row, minlength=k + 2)[:k + 1] for row in ham]
+        ret_at[start:start + n_rows] = np.cumsum(counts, axis=1)
+        cells = ham[rows, cols].astype(np.intp) + rows * (k + 2)
+        counts = np.bincount(cells, minlength=n_rows * (k + 2)).reshape(n_rows, k + 2)
+        inter_at[start:start + n_rows] = np.cumsum(counts[:, :k + 1], axis=1)
+        if with_map and rows.size:
+            aps += _block_aps(ham, rows, cols, start if exclude else None)
     curve = []
     for r in range(k + 1):
         prec = np.where(ret_at[:, r] > 0,
                         inter_at[:, r] / np.maximum(ret_at[:, r], 1), 1.0)
-        rec = np.where(truth_sizes > 0,
-                       inter_at[:, r] / np.maximum(truth_sizes, 1), 1.0)
+        rec = np.where(sizes > 0,
+                       inter_at[:, r] / np.maximum(sizes, 1), 1.0)
         curve.append((math.fsum(prec) / n_q, math.fsum(rec) / n_q))
-    return curve
+    map_score = (math.fsum(aps) / len(aps) if aps else 1.0) if with_map else None
+    return curve, map_score
 
 
 class EvalReport:
@@ -244,8 +373,8 @@ def evaluate_retrieval(method, codes_query, codes_base, truth, radius=None,
     """Run the whole metric suite for one set of codes against a ground truth.
 
     The headline precision/recall is read off the radius sweep at the given
-    radius (default floor(k/4)); MAP uses the full ranking of each
-    query, scored as soon as it is taken, so no ranking list is kept.
+    radius (default floor(k/4)). One pass over query blocks gathers the PR
+    counts and every query's average precision; no ranking is kept.
     """
     k = int(np.asarray(codes_query).shape[1])
     if radius is None:
@@ -254,13 +383,7 @@ def evaluate_retrieval(method, codes_query, codes_base, truth, radius=None,
     if truth.query_count != np.asarray(codes_query).shape[0]:
         raise ParameterError("ground truth covers %d queries, codes %d"
                              % (truth.query_count, np.asarray(codes_query).shape[0]))
-    ham = hamming_matrix(codes_query, codes_base)
-    exclude = _auto_exclude(codes_query, codes_base, exclude_self)
-    aps = [_average_precision(_ranking(ham, i, exclude), tru)
-           for i, tru in enumerate(truth.similar) if len(tru)]
-    map_score = math.fsum(aps) / len(aps) if aps else 1.0
-    # _pr_curve may overwrite the diagonal, so it reads the matrix last
-    curve = _pr_curve(ham, k, truth.similar, exclude)
+    curve, map_score = _sweep(codes_query, codes_base, truth.similar, exclude_self, True)
     precision, recall = curve[radius]
     run_params = dict(params or {})
     run_params.setdefault("radius", radius)

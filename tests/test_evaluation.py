@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from ssbc import (DataError, GuardError, ParameterError, column_norm_diagnostic,
                   evaluation, evaluate_retrieval, ground_truth, hamming_matrix,
@@ -28,6 +29,28 @@ def test_hamming_matrix_matches_count_oracle():
     for i in range(6):
         for j in range(8):
             assert ham[i, j] == int(np.sum(q[i] != b[j]))
+
+
+@pytest.mark.parametrize("k", [1, 254, 255, 256, 300])
+def test_hamming_matrix_matches_xor_count_across_the_uint8_boundary(k):
+    rng = np.random.default_rng(k)
+    bits = rng.random((7, k)) < 0.5
+    bits[1] = bits[0]          # distance 0
+    bits[2] = ~bits[0]         # distance k
+    codes = np.where(bits, 1, -1).astype(np.int8)
+    want = np.count_nonzero(bits[:, None, :] ^ bits[None, :, :], axis=2)
+    ham = hamming_matrix(codes, codes)
+    assert ham.dtype == np.int32 and np.array_equal(ham, want)
+    assert ham[0, 2] == k
+    # the evaluation's small-int block marks an excluded self at k + 1,
+    # which must not wrap around to 0 at k = 255
+    block = evaluation._hamming_block(codes.astype(np.float64),
+                                      codes.astype(np.float64), 0, True)
+    np.fill_diagonal(want, k + 1)
+    assert np.array_equal(block, want)
+    truth = [np.arange(7)] * 7
+    precision, recall = pr_curve(codes, codes, truth)[-1]
+    assert (precision, recall) == (1.0, math.fsum([6 / 7] * 7) / 7)
 
 
 def test_hamming_matrix_validation():
@@ -67,6 +90,91 @@ def test_ground_truth_threshold_override_and_validation():
         ground_truth(base, base, sigma=1.0, threshold=0.0)
     with pytest.raises(ParameterError):
         ground_truth(base, np.zeros((2, 2)), sigma=1.0)
+
+
+def cdist_sets(queries, base, threshold, exclude):
+    out = []
+    for i, row in enumerate(cdist(queries, base)):
+        idx = np.nonzero(row <= threshold)[0]
+        out.append(idx[idx != i] if exclude else idx)
+    return out
+
+
+def assert_same_sets(truth, want):
+    assert len(truth.similar) == len(want)
+    for got, ref in zip(truth.similar, want):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e3, 1e6])
+def test_ground_truth_equals_cdist_on_hard_inputs(shift):
+    # far from the origin, |q|^2 + |b|^2 - 2 q.b cancels almost every digit
+    rng = np.random.default_rng(43)
+    pts = rng.random((400, 9)) + shift
+    pts[300:340] = pts[:40]
+    dist = cdist(pts, pts)
+    ordered = np.sort(dist[dist > 0])
+    queries = pts[:150]
+    # each threshold is a distance that cdist computes, so pairs sit on it
+    for t in (ordered[ordered.size // 20], ordered[ordered.size // 4]):
+        assert_same_sets(ground_truth(pts, pts, sigma=t),
+                         cdist_sets(pts, pts, t, True))
+        for exclude in (True, False):
+            assert_same_sets(ground_truth(pts, pts, 1.0, threshold=t,
+                                          exclude_self=exclude),
+                             cdist_sets(pts, pts, t, exclude))
+        assert_same_sets(ground_truth(queries, pts, 1.0, threshold=t),
+                         cdist_sets(queries, pts, t, False))
+        assert_same_sets(ground_truth(queries, pts, 1.0, threshold=t,
+                                      exclude_self=True),
+                         cdist_sets(queries, pts, t, True))
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6])
+def test_ground_truth_keeps_pairs_exactly_at_the_threshold(shift):
+    pts = np.array([[0, 0], [3, 4], [6, 8], [0, 5], [5, 0], [1, 1], [1, 1]],
+                   dtype=np.float64) + shift
+    truth = ground_truth(pts, pts, sigma=5.0)
+    assert [list(s) for s in truth.similar] == [
+        [1, 3, 4, 5, 6], [0, 2, 3, 4, 5, 6], [1], [0, 1, 5, 6], [0, 1, 5, 6],
+        [0, 1, 3, 4, 6], [0, 1, 3, 4, 5]]
+    assert_same_sets(truth, cdist_sets(pts, pts, 5.0, True))
+
+
+def test_ground_truth_sets_are_views_into_one_compact_array():
+    n = 3000
+    pts = synth_uniform(n, 5, 11).points
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        truth = ground_truth(pts, pts, 0.1)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sets = list(truth.similar)
+    flat = sets[0].base
+    pairs = sum(len(s) for s in sets)
+    assert pairs > 10 * n
+    assert flat.dtype == np.int16 and flat.size == pairs
+    assert all(s.base is flat for s in sets)
+    # 2 bytes per pair, an 8-byte offset per query and a few fixed objects:
+    # no array object per query
+    assert after - before <= 2 * pairs + 8 * n + 16384, after - before
+    assert truth.similar[-1].tolist() == sets[-1].tolist()
+    assert [s.tolist() for s in truth.similar[5:9]] == [s.tolist() for s in sets[5:9]]
+    with pytest.raises(IndexError):
+        truth.similar[n]
+
+
+@pytest.mark.parametrize("n_b, index_type", [(32768, np.int16), (32769, np.int32)])
+def test_ground_truth_index_type_holds_every_base_index(n_b, index_type):
+    base = np.zeros((n_b, 1))
+    base[-1] = 5.0
+    queries = np.array([[0.0], [5.0]])
+    truth = ground_truth(queries, base, sigma=1.0)
+    assert truth.similar[0].dtype == index_type
+    assert list(truth.similar[1]) == [n_b - 1]
+    assert len(truth.similar[0]) == n_b - 1
 
 
 def test_retrieve_hamming_hand_example():
@@ -224,20 +332,32 @@ def test_evaluate_retrieval_consistency():
 
 
 @pytest.mark.parametrize("same", [True, False])
-def test_evaluate_retrieval_builds_the_hamming_matrix_once(monkeypatch, same):
-    base = synth_uniform(40, 5, 8).points
-    queries = base if same else synth_uniform(15, 5, 9).points
+def test_evaluate_retrieval_computes_each_distance_once(monkeypatch, same):
+    base = synth_uniform(600, 5, 8).points
+    queries = base if same else synth_uniform(300, 5, 9).points
     model = lsh_train(5, 8, 5)
     cq, cb = lsh_encode_batch(model, queries), lsh_encode_batch(model, base)
     truth = ground_truth(queries, base, sigma=0.35)
-    calls = []
-    ham = evaluation.hamming_matrix
-    monkeypatch.setattr(evaluation, "hamming_matrix",
-                        lambda *a: calls.append(a) or ham(*a))
+    blocks = []
+    block = evaluation._hamming_block
+
+    def record(q, b, start, exclude):
+        ham = block(q, b, start, exclude)
+        blocks.append((start, ham.shape))
+        return ham
+
+    monkeypatch.setattr(evaluation, "_hamming_block", record)
     report = evaluate_retrieval("lsh", cq, cb, truth)
-    assert len(calls) == 1
     monkeypatch.undo()
-    # with self-exclusion the shared matrix's diagonal is overwritten in place
+    # consecutive blocks of at most _QUERY_BLOCK rows cover every query once,
+    # each against the whole base
+    starts = [start for start, _ in blocks]
+    rows = [shape[0] for _, shape in blocks]
+    assert len(blocks) > 1
+    assert starts == list(np.cumsum([0] + rows[:-1]))
+    assert sum(rows) == len(cq)
+    assert max(rows) <= evaluation._QUERY_BLOCK
+    assert all(shape[1] == len(cb) for _, shape in blocks)
     assert report.pr_curve == pr_curve(cq, cb, truth.similar)
     assert report.map == mean_average_precision(rank_by_hamming(cq, cb),
                                                 truth.similar)
@@ -351,3 +471,21 @@ def test_evaluation_peak_memory_stays_below_half_the_dense_footprint():
         tracemalloc.stop()
     assert 0.0 < report.map < 1.0
     assert peak < dense / 2, peak
+
+
+def test_evaluate_retrieval_alone_stays_well_below_the_dense_hamming_matrix():
+    # evaluation holds O(_QUERY_BLOCK * n) at once, a share of the n x n
+    # int32 Hamming matrix that falls as n grows
+    n = 3000
+    pts = synth_uniform(n, 5, 11).points
+    codes = np.where(np.random.default_rng(11).random((n, 16)) < 0.5, -1, 1)
+    truth = ground_truth(pts, pts, 0.1)
+    dense = n * n * 4
+    tracemalloc.start()
+    try:
+        report = evaluate_retrieval("m", codes, codes, truth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < report.map < 1.0
+    assert peak < dense / 3, peak

@@ -1,16 +1,26 @@
-"""Print digests of the codes and final sketch of fixed SSBC runs.
+"""Print digests of the codes, final sketch and evaluation of fixed runs.
 
-One line per run: the sha256 of its codes, the sketch's shrink_count and
-next_zero_row, and the sha256 of the final sketch buffer. Two checkouts
-that print the same lines give bit-identical codes and sketches on these
-runs. The runs share acceptance criterion 5's data: synth_uniform points
-(d=50) split into 500 training and 2000 test points, data and split both
-seeded by the run's seed.
+One line per run. Two checkouts that print the same lines give
+bit-identical codes, sketches, ground truths and evaluation reports on
+these runs. The SSBC runs share acceptance criterion 5's data:
+synth_uniform points (d=50) split into 500 training and 2000 test points,
+data and split both seeded by the run's seed, and sigma estimated as
+sigma_nn30 on the training points.
 
 * batch: ssbc_encode_batch on criterion 5's 20 cells, seeds 1000-1004 and
-  k = 20, 30, 40, 50;
+  k = 20, 30, 40, 50: the sha256 of the codes, the sketch's shrink_count
+  and next_zero_row, and the sha256 of the final sketch buffer;
+* truth: per seed, the sha256 of the ground-truth sets of the test points
+  (threshold sigma, self excluded);
+* eval: per cell, the sha256 of the JSON of evaluate_retrieval(...).to_dict()
+  at radius floor(k/4), as criterion 5 calls it;
 * online: ssbc_process_online over the test points at k=30, seeds 1000, 1
-  and 3.
+  and 3, with the same fields as batch;
+* lsh: LSH codes at k=32 of 10 000 test points (the same split with 10 500
+  points, seed 1000), with the truth and report digests.
+
+A ground truth's digest hashes its sets as int64, so it does not depend
+on the integer type that holds them.
 
 Run it against each checkout's sources and compare:
 
@@ -20,23 +30,36 @@ Run it against each checkout's sources and compare:
 """
 
 import hashlib
+import json
 
 import numpy as np
 
-from ssbc import (SsbcParams, TrainSet, estimate_sigma_nn, ssbc_encode_batch,
+from ssbc import (SsbcParams, TrainSet, estimate_sigma_nn, evaluate_retrieval,
+                  ground_truth, lsh_encode_batch, lsh_train, ssbc_encode_batch,
                   ssbc_process_online, ssbc_train)
 from ssbc.data import synth_uniform
 
 
-def _split(seed):
-    pts = synth_uniform(2500, 50, seed).points
-    perm = np.random.default_rng(seed).permutation(2500)
+def _split(seed, n=2500):
+    pts = synth_uniform(n, 50, seed).points
+    perm = np.random.default_rng(seed).permutation(n)
     train = pts[perm[:500]]
     return TrainSet(train, estimate_sigma_nn(train, 30)), pts[perm[500:]]
 
 
 def _sha(a):
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def _truth_sha(truth):
+    sets = [np.asarray(s, dtype=np.int64) for s in truth.similar]
+    return _sha(np.concatenate([np.array([len(s) for s in sets], dtype=np.int64)]
+                               + sets))
+
+
+def _report_sha(report):
+    text = json.dumps(report.to_dict(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _report(label, codes, sketch):
@@ -48,15 +71,26 @@ def _report(label, codes, sketch):
 def main():
     for seed in range(1000, 1005):
         train, test = _split(seed)
+        truth = ground_truth(test, test, train.sigma)
+        print("truth seed=%d sets=%s" % (seed, _truth_sha(truth)), flush=True)
         for k in (20, 30, 40, 50):
             model = ssbc_train(train, SsbcParams(k, 0.5))
             codes = ssbc_encode_batch(model, test)
             _report("batch seed=%d k=%d" % (seed, k), codes, model.sketch)
+            report = evaluate_retrieval("ssbc_streaming", codes, codes, truth, k // 4)
+            print("eval seed=%d k=%d report=%s" % (seed, k, _report_sha(report)),
+                  flush=True)
     for seed in (1000, 1, 3):
         train, test = _split(seed)
         model = ssbc_train(train, SsbcParams(30, 0.5))
         codes = np.stack([ssbc_process_online(model, p) for p in test])
         _report("online seed=%d k=30" % seed, codes, model.sketch)
+    train, test = _split(1000, 10500)
+    truth = ground_truth(test, test, train.sigma)
+    codes = lsh_encode_batch(lsh_train(50, 32, 1000), test)
+    report = evaluate_retrieval("lsh", codes, codes, truth)
+    print("lsh n=10000 k=32 truth=%s report=%s" % (_truth_sha(truth), _report_sha(report)),
+          flush=True)
 
 
 if __name__ == "__main__":
