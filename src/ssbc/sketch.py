@@ -42,6 +42,14 @@ is negligible (rho = 0 among them), when two diagonal entries of
 is not positive. The cutoff for negligible and tied is LAPACK dlasd2's
 deflation tolerance.
 
+The memory layout in that solve is part of its result. dlasd4's roots are
+stored one per row of gap (gap[i, j] = d_j^2 - sigma_i^2), and each Loewner
+product runs over the roots in order. The vectors w[j, i] = zhat_j / gap[i, j]
+are built C-ordered from gap's transpose: numpy sums a column norm of a
+C-ordered array one row at a time, but pairwise on a Fortran-ordered one,
+and the two orders give different bits. Moving either array to the other
+layout would change the codes.
+
 The buffer is built and decomposed by a full SVD only where nothing is
 carried (before the first shrink, and in a tall sketch, ell > m, where ell
 orthonormal rows do not exist); when the rows the caller uses (the kept
@@ -50,10 +58,12 @@ _ORTHO_TOL (largest entry of |V^T V - I|) from orthonormal; and for a
 basis read of more rows than the sketch holds.
 """
 
+import math
+
 import numpy as np
 from scipy.linalg.lapack import dlasd4
 
-from .errors import NumericalError, ParameterError, check_int
+from .errors import DataError, NumericalError, ParameterError, check_int
 
 # largest entry of |Vt Vt^T - I| a carried factorisation may have
 _ORTHO_TOL = 1e-9
@@ -80,21 +90,24 @@ def _arrowhead_svd(s, p, rho):
         return None
     n = len(d)
     unit = z / znorm
+    rho2 = znorm * znorm
     sigma = np.empty(n)
-    gap = np.empty((n, n))  # gap[j, i] = d_j^2 - sigma_i^2
+    delta = np.empty((n, n))
+    work = np.empty((n, n))
     for i in range(n):
-        delta, sigma[i], work, info = dlasd4(i, d, unit, znorm * znorm)
+        delta[i], sigma[i], work[i], info = dlasd4(i, d, unit, rho2)
         if info:
             return None
-        gap[:, i] = delta * work
+    gap = np.multiply(delta, work, out=delta)  # gap[i, j] = d_j^2 - sigma_i^2
     # Loewner: zhat_j^2 = prod_i (sigma_i^2 - d_j^2) / prod_{i != j} (d_i^2 - d_j^2),
-    # each root paired with an adjacent pole so every ratio lies in (0, 1)
+    # each root paired with an adjacent pole so every ratio lies in (0, 1);
+    # column j of poles is row j of d2 without its diagonal entry
     d2 = (d[:, None] - d) * (d[:, None] + d)
-    poles = np.where(np.tri(n, n - 1, -1, dtype=bool), d2[:, :-1], d2[:, 1:])
-    zhat2 = -gap[:, -1] * np.prod(gap[:, :-1] / poles, axis=1)
+    poles = d2.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].reshape(n, n - 1).T
+    zhat2 = -gap[-1] * np.prod(gap[:-1] / poles, axis=0)
     if not np.all(zhat2 > 0):
         return None
-    w = np.copysign(np.sqrt(zhat2), z)[:, None] / gap
+    w = np.divide(np.copysign(np.sqrt(zhat2), z)[:, None], gap.T, order="C")
     w /= np.linalg.norm(w, axis=0)
     return sigma[::-1], w[::-1, ::-1].T
 
@@ -106,6 +119,12 @@ class FdSketch:
     the rows inserted since; `buffer` builds [diag(s) V^T; pending; zeros]
     on each read. Before the first shrink and in a tall sketch (ell > m)
     nothing is carried and every row held is pending.
+
+    Two floats certify the sketch after the fact (Ghashami, Liberty,
+    Phillips & Woodruff 2016): over the rows A inserted so far,
+    ||A^T A - B^T B||_2 <= `shrinkage`, the sum of the delta every shrink
+    subtracted, and each shrink subtracts delta from ell squared values, so
+    `shrinkage` <= `frobenius_sq` / ell, with `frobenius_sq` = ||A||_F^2.
     """
 
     def __init__(self, ell, m):
@@ -113,6 +132,8 @@ class FdSketch:
         self.m = check_int(m, "m", 1)
         self.rows_seen = 0
         self.shrink_count = 0
+        self.shrinkage = 0.0
+        self.frobenius_sq = 0.0
         # kept by the last shrink of a wide sketch; _vt is None until then
         self._s = np.zeros(0)
         self._vt = None
@@ -134,11 +155,20 @@ class FdSketch:
         return buf
 
     def insert(self, row):
-        """Insert one row; shrink if the buffer is left with no zero row."""
+        """Insert one row; shrink if the buffer is left with no zero row.
+
+        A row whose squared norm is not finite (it holds inf or NaN, or its
+        squares overflow) raises DataError and leaves the sketch as it was:
+        the SVD of a buffer holding it need not terminate.
+        """
         row = np.array(row, dtype=np.float64)
         if row.shape != (self.m,):
             raise ParameterError("row has shape %r, expected (%d,)"
                                  % (row.shape, self.m))
+        norm_sq = float(row @ row)
+        if not math.isfinite(norm_sq):
+            raise DataError("row %d has a non-finite squared norm" % self.rows_seen)
+        self.frobenius_sq += norm_sq
         self._pending.append(row)
         self.rows_seen += 1
         if self.next_zero_row == self.ell:
@@ -154,20 +184,22 @@ class FdSketch:
         structurally zero, the shrink is lossless, and the kept rows stay
         pending.
         """
-        s, vt = self._svd(lambda s: self._shrunk_values(s)[1])
-        shrunk, nz = self._shrunk_values(s)
+        s, vt = self._svd(lambda s: self._shrunk_values(s)[2])
+        delta, shrunk, nz = self._shrunk_values(s)
         self.shrink_count += 1
+        self.shrinkage += delta
         if self.ell <= self.m:
             self._s, self._vt, self._pending = shrunk[:nz], vt[:nz], []
         else:
             self._pending = list(shrunk[:nz, None] * vt[:nz])
 
     def _shrunk_values(self, s):
-        """Shrunk singular values and the count of nonzero ones."""
+        """The delta subtracted, the shrunk singular values and the count
+        of nonzero ones."""
         s2 = s * s
-        delta = s2[self.ell - 1] if self.ell <= len(s) else 0.0
+        delta = float(s2[self.ell - 1]) if self.ell <= len(s) else 0.0
         shrunk = np.sqrt(np.maximum(s2 - delta, 0.0))
-        return shrunk, int(np.count_nonzero(shrunk))
+        return delta, shrunk, int(np.count_nonzero(shrunk))
 
     def _svd(self, used):
         """Singular values and right singular rows of the buffer.
@@ -182,8 +214,9 @@ class FdSketch:
                 s, vt = self._updated_svd() if self._pending else (self._s, self._vt)
                 n = used(s)
                 if n <= len(s):
-                    drift = np.abs(vt[:n] @ vt[:n].T - np.eye(n)).max(initial=0.0)
-                    if drift <= _ORTHO_TOL:
+                    gram = vt[:n] @ vt[:n].T
+                    gram.ravel()[::n + 1] -= 1.0
+                    if np.abs(gram, out=gram).max(initial=0.0) <= _ORTHO_TOL:
                         return s, vt
             _, s, vt = np.linalg.svd(self.buffer, full_matrices=False)
         except np.linalg.LinAlgError as exc:

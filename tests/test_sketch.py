@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ssbc import (FdSketch, NumericalError, ParameterError, TrainSet,
+from ssbc import (DataError, FdSketch, NumericalError, ParameterError, TrainSet,
                   affinity_matrix, estimate_sigma_nn)
 from ssbc.data import synth_uniform
 from ssbc.evaluation import spectral_norm
@@ -26,6 +26,28 @@ def test_insert_dimension_mismatch():
     sk = FdSketch(3, 2)
     with pytest.raises(ParameterError):
         sk.insert(np.ones(3))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e200])
+def test_non_finite_row_is_rejected_before_it_touches_the_state(bad):
+    # an inf row once sent the first shrink's SVD into a loop that did not
+    # end, and a NaN row ended in an SVD convergence error; a row whose
+    # squares overflow would make the squared singular values inf
+    rows = np.random.default_rng(61).standard_normal((3, 6))
+    sk = FdSketch(4, 6)
+    sk.insert(rows[0])
+    buf = sk.buffer
+    for row in (np.full(6, bad), np.r_[rows[1, :5], bad]):
+        with pytest.raises(DataError):
+            sk.insert(row)
+        assert (sk.rows_seen, sk.next_zero_row, sk.shrink_count) == (1, 1, 0)
+        assert sk.frobenius_sq == rows[0] @ rows[0]
+        assert np.array_equal(sk.buffer, buf)
+    for row in rows[1:]:
+        sk.insert(row)
+    sk.insert(rows[0])
+    assert sk.shrink_count == 1 and np.all(np.isfinite(sk.buffer))
 
 
 def test_insert_without_fill_does_not_shrink():
