@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import baselines, data, encoder, evaluation, formats
-from .affinity import TrainSet, affinity_matrix, estimate_sigma_all, estimate_sigma_nn
+from .affinity import TrainSet, estimate_sigma_all, estimate_sigma_nn
 from .errors import DataError, GuardError, NumericalError, ParameterError, check_int
 
 METHODS = ("ssbc_online", "ssbc_streaming", "lsh", "exact_d", "exact_r")
@@ -254,8 +254,8 @@ def _encode(args, train_set, test_points, include_train):
                                    for p in test_points])
         train_codes = None
         if include_train:
-            rows = affinity_matrix(train_set.points, train_set)
-            train_codes = encoder.signs(rows @ model.sketch.basis(k))
+            train_codes = encoder.project_codes(train_set.points, train_set,
+                                                model.sketch.basis(k))
         return test_codes, train_codes
     return encode(test_points), encode(train_set.points) if include_train else None
 

@@ -14,6 +14,16 @@ For a stationary basis the two agree, and they always agree on the last
 point processed. Ties sign(0) are broken to +1. Affinity rows are inserted
 unscaled: rescaling every row by a common factor changes neither the right
 singular vectors nor any projection sign.
+
+Training and batch encoding stream affinity rows in blocks of _ROW_BLOCK
+points, so they hold O(_ROW_BLOCK x m) of rows, never the m x m training
+affinity or the n x m test affinities. Every point is checked before the
+first insert, so a bad point leaves the sketch as it was. project_codes
+signs a frozen basis against a second pass over the same blocks. Its rows
+equal the dense rows bit for bit, but a block's product can differ from
+one dense product in the last bit where OpenBLAS takes its small-matrix
+kernel for a short block; a code bit can then differ only where a
+projection lies within rounding of zero.
 """
 
 import math
@@ -21,7 +31,8 @@ import warnings
 
 import numpy as np
 
-from .affinity import affinity_matrix, affinity_vector
+from .affinity import (_ROW_BLOCK, _as_points, _as_queries, affinity_matrix,
+                       affinity_vector)
 from .errors import ParameterError, check_int
 from .sketch import FdSketch
 
@@ -71,15 +82,34 @@ def sign_project(w, basis):
     return signs(w @ basis)
 
 
+def _affinity_blocks(points, train):
+    """Affinity rows of checked points, _ROW_BLOCK points at a time."""
+    for start in range(0, points.shape[0], _ROW_BLOCK):
+        yield start, affinity_matrix(points[start:start + _ROW_BLOCK], train)
+
+
+def _insert_points(sketch, points, train):
+    for _, rows in _affinity_blocks(points, train):
+        for row in rows:
+            sketch.insert(row)
+
+
+def project_codes(points, train, basis):
+    """Codes of points under a frozen basis, without inserting them: the
+    signs of each point's affinity row projected on the basis columns."""
+    codes = np.empty((points.shape[0], basis.shape[1]), dtype=np.int8)
+    for start, rows in _affinity_blocks(points, train):
+        codes[start:start + rows.shape[0]] = signs(rows @ basis)
+    return codes
+
+
 def ssbc_train(train, params):
     """Stream the training points' own affinity rows into a fresh sketch."""
     if params.ell > train.m:
         warnings.warn("sketch ell=%d exceeds train size m=%d; wider than the data "
                       "is wasteful but legal" % (params.ell, train.m))
     sketch = FdSketch(params.ell, train.m)
-    rows = affinity_matrix(train.points, train)
-    for row in rows:
-        sketch.insert(row)
+    _insert_points(sketch, _as_points(train.points, "train points"), train)
     return SsbcModel(train, sketch, params)
 
 
@@ -103,8 +133,6 @@ def ssbc_encode_batch(model, points):
     points = np.asarray(points, dtype=np.float64)
     if points.size == 0:
         return np.zeros((0, model.params.k), dtype=np.int8)
-    rows = affinity_matrix(points, model.train)
-    for row in rows:
-        model.sketch.insert(row)
-    basis = model.sketch.basis(model.params.k)
-    return signs(rows @ basis)
+    points = _as_queries(points, model.train)
+    _insert_points(model.sketch, points, model.train)
+    return project_codes(points, model.train, model.sketch.basis(model.params.k))

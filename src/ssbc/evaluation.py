@@ -7,7 +7,7 @@ and means use math.fsum, so results are reproducible bit for bit against
 a brute-force reimplementation of the same definitions.
 
 Ground truth and evaluation each make one pass over blocks of at most
-_QUERY_BLOCK queries, so neither builds an n x n array:
+_ROW_BLOCK queries, so neither builds an n x n array:
 
 * Hamming distances come from one float64 BLAS product per block. For +-1
   codes of length k, q.b counts agreements minus disagreements, so the
@@ -35,12 +35,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError, GuardError, NumericalError, ParameterError, check_int
-from .affinity import TrainSet, _as_points, affinity_matrix
+from .affinity import _ROW_BLOCK, TrainSet, _as_points, affinity_matrix
 from .sketch import FdSketch
-
-# queries per block in ground truth and evaluation: bounds their memory at
-# O(block * n) and changes no result
-_QUERY_BLOCK = 128
 
 
 def _as_codes(codes, name="codes"):
@@ -55,7 +51,7 @@ def _as_codes(codes, name="codes"):
 
 def _code_pair(codes_query, codes_base):
     q = _as_codes(codes_query, "query codes")
-    b = _as_codes(codes_base, "base codes")
+    b = q if codes_base is codes_query else _as_codes(codes_base, "base codes")
     if q.shape[1] != b.shape[1]:
         raise ParameterError("code lengths differ: %d vs %d" % (q.shape[1], b.shape[1]))
     return q, b
@@ -63,10 +59,10 @@ def _code_pair(codes_query, codes_base):
 
 def _hamming_block(q, b, start, exclude):
     """Hamming distances from query rows start, start+1, ... (at most
-    _QUERY_BLOCK of them) to every base code; with exclude, query i's
+    _ROW_BLOCK of them) to every base code; with exclude, query i's
     distance to base i reads k + 1."""
     k = q.shape[1]
-    prod = q[start:start + _QUERY_BLOCK] @ b.T
+    prod = q[start:start + _ROW_BLOCK] @ b.T
     np.subtract(k, prod, out=prod)
     prod *= 0.5
     ham = prod.astype(np.min_scalar_type(k + 1))
@@ -77,11 +73,16 @@ def _hamming_block(q, b, start, exclude):
 
 
 def hamming_matrix(codes_query, codes_base):
-    """Pairwise Hamming distances between two stacks of +-1 codes, as int32."""
+    """Pairwise Hamming distances between two stacks of +-1 codes, as int32.
+
+    Returns the n_query x n_base matrix by contract: with retrieve_hamming
+    and rank_by_hamming it is an oracle of acceptance criterion 4 and of
+    perfbench, against which the blocked evaluation is checked.
+    """
     q, b = _code_pair(codes_query, codes_base)
     ham = np.empty((q.shape[0], b.shape[0]), dtype=np.int32)
-    for start in range(0, q.shape[0], _QUERY_BLOCK):
-        ham[start:start + _QUERY_BLOCK] = _hamming_block(q, b, start, False)
+    for start in range(0, q.shape[0], _ROW_BLOCK):
+        ham[start:start + _ROW_BLOCK] = _hamming_block(q, b, start, False)
     return ham
 
 
@@ -176,8 +177,8 @@ def ground_truth(queries, base, sigma, threshold=None, exclude_self=None,
     n_b = base.shape[0]
     index_type = np.promote_types(np.min_scalar_type(-n_b), np.int16)
     kept = []
-    for start in range(0, queries.shape[0], _QUERY_BLOCK):
-        block = queries[start:start + _QUERY_BLOCK]
+    for start in range(0, queries.shape[0], _ROW_BLOCK):
+        block = queries[start:start + _ROW_BLOCK]
         floor = ((1 - tol) * np.einsum("ij,ij->i", block, block) - (1 + tol) * t2) / 2
         gram = block @ base.T
         gram -= half_b
@@ -199,7 +200,11 @@ def ground_truth(queries, base, sigma, threshold=None, exclude_self=None,
 
 
 def retrieve_hamming(codes_query, codes_base, r, exclude_self=None):
-    """Indices of base codes within Hamming distance r of each query code."""
+    """Indices of base codes within Hamming distance r of each query code.
+
+    An oracle: it builds the full hamming_matrix by contract, so it holds
+    n_query x n_base distances; evaluate_retrieval never calls it.
+    """
     ham = hamming_matrix(codes_query, codes_base)
     k = np.asarray(codes_query).shape[1]
     r = check_int(r, "r", 0, k)
@@ -237,7 +242,11 @@ def precision_recall(returned, truth):
 
 
 def rank_by_hamming(codes_query, codes_base, exclude_self=None):
-    """Full base ranking per query by ascending Hamming distance, ties by index."""
+    """Full base ranking per query by ascending Hamming distance, ties by index.
+
+    An oracle: it builds the full hamming_matrix and returns n_query
+    rankings of the whole base by contract; evaluate_retrieval never calls it.
+    """
     ham = hamming_matrix(codes_query, codes_base)
     exclude = _auto_exclude(codes_query, codes_base, exclude_self)
     ranked = []
@@ -320,7 +329,7 @@ def _sweep(codes_query, codes_base, truth, exclude_self, with_map):
     inter_at = np.empty((n_q, k + 1), dtype=np.int64)
     sizes = np.array([len(t) for t in truth], dtype=np.int64)
     aps = []
-    for start in range(0, n_q, _QUERY_BLOCK):
+    for start in range(0, n_q, _ROW_BLOCK):
         ham = _hamming_block(q, b, start, exclude)
         n_rows = ham.shape[0]
         rows = np.repeat(np.arange(n_rows), sizes[start:start + n_rows])

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from ssbc import (DataError, ParameterError, TrainSet, affinity_matrix,
                   affinity_vector, estimate_sigma_all, estimate_sigma_nn)
@@ -149,3 +151,59 @@ def test_sigma_all_matches_brute_force():
     vals = [naive_dist(pts[i], pts[j])
             for i in range(50) for j in range(i + 1, 50)]
     assert estimate_sigma_all(pts) == math.fsum(vals) / len(vals)
+
+
+def test_affinity_rows_equal_the_dense_expression_bit_for_bit():
+    # the rows are built in place on the cdist output; the bits must be
+    # those of exp(-cdist / sigma) computed in fresh arrays
+    rng = np.random.default_rng(14)
+    pts = rng.standard_normal((70, 5))
+    qs = rng.standard_normal((9, 5))
+    train = TrainSet(pts, 0.7)
+    dense = np.exp(-cdist(qs, pts, "sqeuclidean") / 0.7)
+    assert np.array_equal(affinity_matrix(qs, train), dense)
+    for q, row in zip(qs, dense):
+        assert np.array_equal(affinity_vector(q, train), row)
+
+
+def _dense_sigma_nn(pts, t):
+    dist = cdist(pts, pts, "euclidean")
+    np.fill_diagonal(dist, np.inf)
+    dist.sort(axis=1)
+    return math.fsum(dist[:, t - 1]) / len(pts)
+
+
+def _dense_sigma_all(pts):
+    n = len(pts)
+    upper = cdist(pts, pts, "euclidean")[np.triu_indices(n, k=1)]
+    return math.fsum(upper) / (n * (n - 1) // 2)
+
+
+def test_blocked_sigma_estimators_equal_the_dense_formulas():
+    # several row blocks, points far from the origin (rounding in every
+    # difference) and duplicates on both sides of a block boundary (zero
+    # distances and ties at the t-th place)
+    rng = np.random.default_rng(15)
+    pts = rng.random((600, 7)) + 1e3
+    pts[250:270] = pts[0]
+    pts[500:530] = pts[255]
+    for t in (1, 30, 45):
+        assert estimate_sigma_nn(pts, t) == _dense_sigma_nn(pts, t)
+    assert estimate_sigma_all(pts) == _dense_sigma_all(pts)
+    assert estimate_sigma_all(pts[:257]) == _dense_sigma_all(pts[:257])
+    assert estimate_sigma_nn(pts[:257], 30) == _dense_sigma_nn(pts[:257], 30)
+
+
+def test_sigma_estimators_hold_o_block_memory():
+    # one m x m float64 distance array would take m^2 * 8 bytes
+    m = 3000
+    pts = np.random.default_rng(16).random((m, 10))
+    for estimate in (lambda p: estimate_sigma_nn(p, 30), estimate_sigma_all):
+        tracemalloc.start()
+        try:
+            sigma = estimate(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sigma > 0
+        assert peak < m * m * 8 / 4, peak

@@ -1,10 +1,14 @@
-import numpy as np
-import pytest
+import argparse
+import tracemalloc
 import warnings
 
-from ssbc import (FdSketch, ParameterError, SsbcModel, SsbcParams, TrainSet,
-                  affinity_matrix, estimate_sigma_nn, exact_codes,
-                  hamming_matrix, sign_project, ssbc_encode_batch,
+import numpy as np
+import pytest
+from scipy.spatial.distance import cdist
+
+from ssbc import (DataError, FdSketch, ParameterError, SsbcModel, SsbcParams,
+                  TrainSet, affinity_matrix, cli, estimate_sigma_nn, exact_codes,
+                  hamming_matrix, sign_project, signs, ssbc_encode_batch,
                   ssbc_process_online, ssbc_train)
 from ssbc.data import synth_uniform
 from test_sketch import FullSvdSketch
@@ -237,3 +241,112 @@ def test_column_flip_gauge():
     keep = [0, 1, 3]
     assert np.array_equal(a[:, keep], b[:, keep])
     assert np.array_equal(hamming_matrix(a, a), hamming_matrix(b, b))
+
+
+def dense_rows(points, train):
+    return np.exp(-cdist(points, train.points, "sqeuclidean") / train.sigma)
+
+
+def dense_train(train, params):
+    """The dense training path: the whole m x m affinity, then every row."""
+    sketch = FdSketch(params.ell, train.m)
+    for row in dense_rows(train.points, train):
+        sketch.insert(row)
+    return SsbcModel(train, sketch, params)
+
+
+def dense_encode_batch(model, points):
+    """The dense batch path: all n x m rows, inserted, then one product."""
+    rows = dense_rows(points, model.train)
+    for row in rows:
+        model.sketch.insert(row)
+    return signs(rows @ model.sketch.basis(model.params.k))
+
+
+def assert_same_sketch(a, b):
+    assert a.rows_seen == b.rows_seen
+    assert a.shrink_count == b.shrink_count
+    assert np.array_equal(a.buffer, b.buffer)
+
+
+def test_streamed_blocks_equal_the_dense_reference():
+    # 300 training points span three row blocks; the batch sizes sit on
+    # and around one block
+    pts = synth_uniform(600, 8, 17).points
+    train = TrainSet(pts[:300], estimate_sigma_nn(pts[:300], 30))
+    params = SsbcParams(8, 0.5)
+    for n in (1, 127, 128, 129, 300):
+        model = ssbc_train(train, params)
+        ref = dense_train(train, params)
+        assert_same_sketch(model.sketch, ref.sketch)
+        codes = ssbc_encode_batch(model, pts[300:300 + n])
+        assert np.array_equal(codes, dense_encode_batch(ref, pts[300:300 + n]))
+        assert_same_sketch(model.sketch, ref.sketch)
+
+
+def test_include_train_codes_equal_the_dense_reference():
+    pts = synth_uniform(500, 8, 18).points
+    train = TrainSet(pts[:200], estimate_sigma_nn(pts[:200], 30))
+    test = pts[200:]
+    params = SsbcParams(8, 0.5)
+    for method in ("ssbc_streaming", "ssbc_online"):
+        args = argparse.Namespace(method=method, k=8, epsilon=0.5, seed=0,
+                                  exact_guard=5000)
+        test_codes, train_codes = cli._encode(args, train, test, True)
+        ref = dense_train(train, params)
+        if method == "ssbc_streaming":
+            ref_test = dense_encode_batch(ref, test)
+        else:
+            ref_test = np.stack([ssbc_process_online(ref, p) for p in test])
+        assert np.array_equal(test_codes, ref_test)
+        assert np.array_equal(train_codes,
+                              signs(dense_rows(train.points, train) @ ref.sketch.basis(8)))
+
+
+def test_batch_with_a_bad_point_leaves_the_sketch_as_it_was():
+    # the bad point sits in the third row block: nothing may be inserted
+    pts = synth_uniform(501, 6, 19).points
+    train = TrainSet(pts[:200], estimate_sigma_nn(pts[:200], 30))
+    model = ssbc_train(train, SsbcParams(5, 0.5))
+    rows_seen, buffer = model.sketch.rows_seen, model.sketch.buffer
+    for bad in (np.nan, np.inf):
+        batch = pts[200:].copy()
+        batch[300] = bad
+        with pytest.raises(DataError):
+            ssbc_encode_batch(model, batch)
+        assert model.sketch.rows_seen == rows_seen
+        assert np.array_equal(model.sketch.buffer, buffer)
+    with pytest.raises(ParameterError):
+        ssbc_encode_batch(model, pts[200:, :5])
+    assert model.sketch.rows_seen == rows_seen
+
+
+def test_train_with_a_bad_point_inserts_nothing(monkeypatch):
+    pts = synth_uniform(301, 6, 20).points
+    train = TrainSet(pts, estimate_sigma_nn(pts, 30))
+    train.points[300, 2] = np.nan
+    inserts = []
+    monkeypatch.setattr(FdSketch, "insert", lambda self, row: inserts.append(row))
+    with pytest.raises(DataError):
+        ssbc_train(train, SsbcParams(5, 0.5))
+    assert inserts == []
+
+
+def test_train_and_batch_encode_hold_o_block_memory():
+    # the dense paths held the m x m training affinity and the n x m test
+    # affinities, each several times over while they were built
+    m = n = 3000
+    pts = synth_uniform(m + n, 10, 21).points
+    train = TrainSet(pts[:m], estimate_sigma_nn(pts[:m], 30))
+    tracemalloc.start()
+    try:
+        model = ssbc_train(train, SsbcParams(5, 0.5))
+        _, train_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        codes = ssbc_encode_batch(model, pts[m:])
+        _, encode_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert codes.shape == (n, 5)
+    assert train_peak < m * m * 8 / 4, train_peak
+    assert encode_peak < n * m * 8 / 4, encode_peak

@@ -349,14 +349,14 @@ def test_evaluate_retrieval_computes_each_distance_once(monkeypatch, same):
     monkeypatch.setattr(evaluation, "_hamming_block", record)
     report = evaluate_retrieval("lsh", cq, cb, truth)
     monkeypatch.undo()
-    # consecutive blocks of at most _QUERY_BLOCK rows cover every query once,
+    # consecutive blocks of at most _ROW_BLOCK rows cover every query once,
     # each against the whole base
     starts = [start for start, _ in blocks]
     rows = [shape[0] for _, shape in blocks]
     assert len(blocks) > 1
     assert starts == list(np.cumsum([0] + rows[:-1]))
     assert sum(rows) == len(cq)
-    assert max(rows) <= evaluation._QUERY_BLOCK
+    assert max(rows) <= evaluation._ROW_BLOCK
     assert all(shape[1] == len(cb) for _, shape in blocks)
     assert report.pr_curve == pr_curve(cq, cb, truth.similar)
     assert report.map == mean_average_precision(rank_by_hamming(cq, cb),
@@ -474,7 +474,7 @@ def test_evaluation_peak_memory_stays_below_half_the_dense_footprint():
 
 
 def test_evaluate_retrieval_alone_stays_well_below_the_dense_hamming_matrix():
-    # evaluation holds O(_QUERY_BLOCK * n) at once, a share of the n x n
+    # evaluation holds O(_ROW_BLOCK * n) at once, a share of the n x n
     # int32 Hamming matrix that falls as n grows
     n = 3000
     pts = synth_uniform(n, 5, 11).points

@@ -17,7 +17,12 @@ sigma_nn30 on the training points.
 * online: ssbc_process_online over the test points at k=30, seeds 1000, 1
   and 3, with the same fields as batch;
 * lsh: LSH codes at k=32 of 10 000 test points (the same split with 10 500
-  points, seed 1000), with the truth and report digests.
+  points, seed 1000), with the truth and report digests;
+* sigma: per seed 1000-1004, estimate_sigma_nn (t = 30) and
+  estimate_sigma_all of the training points, as hex floats;
+* include-train: `ssbc run --include-train` codes at seed 1000 and k = 30
+  for ssbc_streaming and ssbc_online, computed by cli._encode: the sha256
+  of the test codes and of the training points' codes.
 
 A ground truth's digest hashes its sets as int64, so it does not depend
 on the integer type that holds them.
@@ -29,14 +34,16 @@ Run it against each checkout's sources and compare:
     diff before.txt after.txt
 """
 
+import argparse
 import hashlib
 import json
 
 import numpy as np
 
-from ssbc import (SsbcParams, TrainSet, estimate_sigma_nn, evaluate_retrieval,
-                  ground_truth, lsh_encode_batch, lsh_train, ssbc_encode_batch,
-                  ssbc_process_online, ssbc_train)
+from ssbc import (SsbcParams, TrainSet, estimate_sigma_all, estimate_sigma_nn,
+                  evaluate_retrieval, ground_truth, lsh_encode_batch, lsh_train,
+                  ssbc_encode_batch, ssbc_process_online, ssbc_train)
+from ssbc import cli
 from ssbc.data import synth_uniform
 
 
@@ -91,6 +98,18 @@ def main():
     report = evaluate_retrieval("lsh", codes, codes, truth)
     print("lsh n=10000 k=32 truth=%s report=%s" % (_truth_sha(truth), _report_sha(report)),
           flush=True)
+    for seed in range(1000, 1005):
+        train, _ = _split(seed)
+        print("sigma seed=%d nn30=%s all=%s"
+              % (seed, estimate_sigma_nn(train.points, 30).hex(),
+                 estimate_sigma_all(train.points).hex()), flush=True)
+    train, test = _split(1000)
+    for method in ("ssbc_streaming", "ssbc_online"):
+        args = argparse.Namespace(method=method, k=30, epsilon=0.5, seed=1000,
+                                  exact_guard=5000)
+        test_codes, train_codes = cli._encode(args, train, test, True)
+        print("include-train seed=1000 k=30 method=%s test=%s train=%s"
+              % (method, _sha(test_codes), _sha(train_codes)), flush=True)
 
 
 if __name__ == "__main__":
