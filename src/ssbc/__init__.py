@@ -13,7 +13,7 @@ entries in {-1, +1}; all randomness comes from seeded numpy default_rng
 from .affinity import (TrainSet, affinity_matrix, affinity_vector,
                        estimate_sigma_all, estimate_sigma_nn)
 from .baselines import (ExactCodes, LshModel, exact_codes, haar_rotation,
-                        lsh_encode, lsh_encode_batch, lsh_train)
+                        lsh_encode_batch, lsh_train)
 from .data import Dataset, SplitSpec, load_csv, save_csv, split, synth_uniform, zscore
 from .encoder import (SsbcModel, SsbcParams, sign_project, signs,
                       ssbc_encode_batch, ssbc_process_online, ssbc_train)
@@ -31,8 +31,8 @@ __version__ = "0.1.0"
 __all__ = [
     "TrainSet", "affinity_matrix", "affinity_vector", "estimate_sigma_all",
     "estimate_sigma_nn",
-    "ExactCodes", "LshModel", "exact_codes", "haar_rotation", "lsh_encode",
-    "lsh_encode_batch", "lsh_train",
+    "ExactCodes", "LshModel", "exact_codes", "haar_rotation", "lsh_encode_batch",
+    "lsh_train",
     "Dataset", "SplitSpec", "load_csv", "save_csv", "split", "synth_uniform",
     "zscore",
     "SsbcModel", "SsbcParams", "sign_project", "signs", "ssbc_encode_batch",

@@ -17,7 +17,7 @@ import math
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import DataError, ParameterError, check_int
+from .errors import DataError, GuardError, ParameterError, check_int
 
 # rows per block wherever affinity rows are streamed (training, batch
 # encoding and its projection) and queries per block in evaluation: bounds
@@ -64,16 +64,6 @@ def _gaussian(sq, sigma):
     return np.exp(sq, out=sq)
 
 
-def affinity_vector(q, train):
-    """Affinity of query q against every training point, an m-vector in (0, 1]."""
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (train.d,):
-        raise ParameterError("query has shape %r, expected (%d,)" % (q.shape, train.d))
-    if not np.all(np.isfinite(q)):
-        raise DataError("query contains non-finite values")
-    return _gaussian(cdist(q[None, :], train.points, "sqeuclidean")[0], train.sigma)
-
-
 def _as_queries(queries, train):
     """queries as a checked 2-d float64 array of the train set's dimension."""
     queries = _as_points(queries, "queries")
@@ -87,6 +77,19 @@ def affinity_matrix(queries, train):
     """Stack of affinity vectors, one row per query point."""
     queries = _as_queries(queries, train)
     return _gaussian(cdist(queries, train.points, "sqeuclidean"), train.sigma)
+
+
+def affinity_vector(q, train):
+    """Affinity of query q against every training point, an m-vector in (0, 1]."""
+    return affinity_matrix(np.asarray(q)[None], train)[0]
+
+
+def _self_affinity(points, sigma, guard):
+    """The dense n x n self-affinity of checked points, refused above guard."""
+    n = points.shape[0]
+    if n > guard:
+        raise GuardError("n=%d exceeds the dense affinity guard %d" % (n, guard))
+    return affinity_matrix(points, TrainSet(points, sigma))
 
 
 def estimate_sigma_nn(points, t=30):

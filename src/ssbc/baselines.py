@@ -11,16 +11,15 @@ set, eigendecompose it, and sign the top-k eigenvectors, either directly
 import numpy as np
 
 from .encoder import signs
-from .errors import GuardError, NumericalError, ParameterError, check_int
-from .affinity import TrainSet, _as_points, affinity_matrix
+from .errors import NumericalError, ParameterError, check_int
+from .affinity import _as_points, _self_affinity
 
 
 class LshModel:
-    """A d x k Gaussian projection matrix plus the seed that generated it."""
+    """A d x k Gaussian projection matrix."""
 
-    def __init__(self, projections, seed):
+    def __init__(self, projections):
         self.projections = np.asarray(projections, dtype=np.float64)
-        self.seed = int(seed)
 
 
 def lsh_train(d, k, seed):
@@ -28,20 +27,12 @@ def lsh_train(d, k, seed):
     d = check_int(d, "d", 1)
     k = check_int(k, "k", 1)
     rng = np.random.default_rng(seed)
-    return LshModel(rng.standard_normal((d, k)), seed)
-
-
-def lsh_encode(model, point):
-    """Sign of the point's dot product with each projection column."""
-    point = np.asarray(point, dtype=np.float64)
-    if point.shape != (model.projections.shape[0],):
-        raise ParameterError("point has shape %r, expected (%d,)"
-                             % (point.shape, model.projections.shape[0]))
-    return signs(point @ model.projections)
+    return LshModel(rng.standard_normal((d, k)))
 
 
 def lsh_encode_batch(model, points):
-    """Codes for a stack of points, one row per point."""
+    """Codes for a stack of points, one row per point: the sign of each
+    point's dot product with each projection column."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != model.projections.shape[0]:
         raise ParameterError("points have shape %r, expected (*, %d)"
@@ -63,20 +54,17 @@ def haar_rotation(k, seed):
 class ExactCodes:
     """Codes for a full point set plus the top-k eigenvalues they came from."""
 
-    def __init__(self, codes, eigenvalues, mode):
+    def __init__(self, codes, eigenvalues):
         self.codes = codes
         self.eigenvalues = eigenvalues
-        self.mode = mode
 
 
-def exact_codes(points, k, sigma, mode="deterministic", seed=0, guard=5000,
-                rotation=None):
+def exact_codes(points, k, sigma, mode="deterministic", seed=0, guard=5000):
     """Sign the top-k eigenvectors of the full affinity matrix.
 
-    mode "deterministic" signs U_k directly; "randomized" first applies a
-    k x k Haar rotation drawn from the seed (pass rotation= to override it,
-    e.g. the identity, which reduces bit-exactly to the deterministic mode).
-    Dense n x n work, refused above the guard size.
+    mode "deterministic" signs U_k directly; "randomized" signs
+    U_k @ haar_rotation(k, seed). Dense n x n work, refused above the
+    guard size.
     """
     points = _as_points(points)
     n = points.shape[0]
@@ -85,10 +73,7 @@ def exact_codes(points, k, sigma, mode="deterministic", seed=0, guard=5000,
     k = check_int(k, "k", 1)
     if n < k:
         raise ParameterError("need n >= k, got n=%d, k=%d" % (n, k))
-    if n > guard:
-        raise GuardError("n=%d exceeds the dense eigendecomposition guard %d"
-                         % (n, guard))
-    w = affinity_matrix(points, TrainSet(points, sigma))
+    w = _self_affinity(points, sigma, guard)
     if not np.array_equal(w, w.T) or not np.all(np.diag(w) == 1.0):
         raise NumericalError("affinity matrix is not symmetric with unit diagonal")
     try:
@@ -97,10 +82,6 @@ def exact_codes(points, k, sigma, mode="deterministic", seed=0, guard=5000,
         raise NumericalError("eigendecomposition failed: %s" % exc) from exc
     top = vals[::-1][:k]
     u_k = vecs[:, ::-1][:, :k]
-    if mode == "deterministic":
-        codes = signs(u_k)
-    else:
-        if rotation is None:
-            rotation = haar_rotation(k, seed)
-        codes = signs(u_k @ rotation)
-    return ExactCodes(codes, top, mode)
+    if mode == "randomized":
+        u_k = u_k @ haar_rotation(k, seed)
+    return ExactCodes(signs(u_k), top)

@@ -264,8 +264,7 @@ def _ground_truth(args, test_ds, sigma, timings):
     """Similar pairs among the test points, shared by every (method, k) cell."""
     t0 = time.perf_counter()
     truth = evaluation.ground_truth(test_ds.points, test_ds.points, sigma,
-                                    threshold=args.truth_threshold,
-                                    threshold_note=args.sigma_mode)
+                                    threshold=args.truth_threshold)
     timings["truth"] = time.perf_counter() - t0
     return truth
 

@@ -43,13 +43,10 @@ class Dataset:
 class SplitSpec:
     """How many points go to train and test, and the seed that shuffles them."""
 
-    def __init__(self, train_count, test_count, seed, strategy="uniform_random"):
+    def __init__(self, train_count, test_count, seed):
         self.train_count = check_int(train_count, "train_count", 0)
         self.test_count = check_int(test_count, "test_count", 0)
-        if strategy != "uniform_random":
-            raise ParameterError("unknown split strategy %r" % (strategy,))
         self.seed = int(seed)
-        self.strategy = strategy
 
 
 def _parse_cell(cell):
@@ -66,13 +63,14 @@ def _parse_cell(cell):
 
 
 def load_csv(path, delimiter=",", has_header=False, drop_columns=(),
-             drop_rows_with_missing=False, name=None):
+             drop_rows_with_missing=False):
     """Read a numeric CSV into a Dataset.
 
-    delimiter is one character. drop_columns lists 0-based integer indices
-    (counted before dropping) to discard. Cells that are empty, unparseable,
-    or non-finite make the row either get dropped (drop_rows_with_missing=True)
-    or abort the load. Rows of the wrong width are treated the same way.
+    delimiter is one character. has_header skips the first non-empty row.
+    drop_columns lists 0-based integer indices (counted before dropping) to
+    discard. Cells that are empty, unparseable, or non-finite make the row
+    either get dropped (drop_rows_with_missing=True) or abort the load. Rows
+    of the wrong width are treated the same way.
     """
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise ParameterError("delimiter must be one character, got %r" % (delimiter,))
@@ -85,11 +83,10 @@ def load_csv(path, delimiter=",", has_header=False, drop_columns=(),
         raise DataError("cannot read %s: %s" % (path, exc)) from exc
     with handle:
         reader = csv.reader(handle, delimiter=delimiter)
-        for lineno, raw in enumerate(reader, start=1):
-            if not raw:
-                continue
-            if has_header and lineno == 1:
-                continue
+        records = ((lineno, raw) for lineno, raw in enumerate(reader, start=1) if raw)
+        if has_header:
+            next(records, None)
+        for lineno, raw in records:
             kept = [cell for j, cell in enumerate(raw) if j not in drop]
             values = [_parse_cell(cell) for cell in kept]
             bad = any(v is None for v in values)
@@ -103,12 +100,11 @@ def load_csv(path, delimiter=",", has_header=False, drop_columns=(),
             rows.append(values)
     if not rows:
         raise DataError("%s: no usable rows" % path)
-    if name is None:
-        name = os.path.splitext(os.path.basename(path))[0]
+    name = os.path.splitext(os.path.basename(path))[0]
     return Dataset(np.array(rows, dtype=np.float64), name, "csv")
 
 
-def save_csv(points, path, delimiter=","):
+def save_csv(points, path):
     """Write a point matrix as CSV with full-precision (round-trip) floats."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -118,7 +114,7 @@ def save_csv(points, path, delimiter=","):
     except OSError as exc:
         raise DataError("cannot write %s: %s" % (path, exc)) from exc
     with handle:
-        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(handle, lineterminator="\n")
         for row in points:
             writer.writerow([repr(float(x)) for x in row])
 

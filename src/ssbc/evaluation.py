@@ -34,8 +34,8 @@ from collections.abc import Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import DataError, GuardError, NumericalError, ParameterError, check_int
-from .affinity import _ROW_BLOCK, TrainSet, _as_points, affinity_matrix
+from .errors import DataError, NumericalError, ParameterError, check_int
+from .affinity import _ROW_BLOCK, _as_points, _self_affinity
 from .sketch import FdSketch
 
 
@@ -123,18 +123,12 @@ class GroundTruth:
     or the SimilarSets that ground_truth builds.
     """
 
-    def __init__(self, query_count, base_count, similar, sigma, threshold,
-                 threshold_note=""):
-        self.query_count = query_count
-        self.base_count = base_count
+    def __init__(self, similar, threshold):
         self.similar = similar
-        self.sigma = sigma
         self.threshold = threshold
-        self.threshold_note = threshold_note
 
 
-def ground_truth(queries, base, sigma, threshold=None, exclude_self=None,
-                 threshold_note=""):
+def ground_truth(queries, base, sigma, threshold=None, exclude_self=None):
     """Mark base points within the Euclidean threshold of each query as similar.
 
     The threshold defaults to sigma itself (the radius that defined the
@@ -194,9 +188,7 @@ def ground_truth(queries, base, sigma, threshold=None, exclude_self=None,
             kept.append(idx.astype(index_type))
     ends = np.zeros(len(kept) + 1, dtype=np.int64)
     np.cumsum([s.size for s in kept], out=ends[1:])
-    similar = SimilarSets(np.concatenate(kept), ends)
-    return GroundTruth(queries.shape[0], base.shape[0], similar, sigma,
-                       threshold, threshold_note)
+    return GroundTruth(SimilarSets(np.concatenate(kept), ends), threshold)
 
 
 def retrieve_hamming(codes_query, codes_base, r, exclude_self=None):
@@ -284,9 +276,10 @@ def pr_curve(codes_query, codes_base, truth, exclude_self=None):
     """(precision, recall) at every Hamming radius r = 0..k.
 
     Arithmetic matches precision_recall over retrieve_hamming at each r
-    exactly; this just avoids materialising the index sets k+1 times.
+    exactly; the curve comes from the one pass evaluate_retrieval makes,
+    without materialising the index sets k+1 times.
     """
-    return _sweep(codes_query, codes_base, truth, exclude_self, False)[0]
+    return _sweep(codes_query, codes_base, truth, exclude_self)[0]
 
 
 def _block_aps(ham, rows, cols, exclude_from):
@@ -317,9 +310,8 @@ def _block_aps(ham, rows, cols, exclude_from):
             for a, m in zip(firsts.tolist(), found.tolist())]
 
 
-def _sweep(codes_query, codes_base, truth, exclude_self, with_map):
-    """(PR curve, MAP) in one pass over query blocks; MAP is None unless
-    with_map."""
+def _sweep(codes_query, codes_base, truth, exclude_self):
+    """(PR curve, MAP) in one pass over query blocks."""
     q, b = _code_pair(codes_query, codes_base)
     n_q, k = q.shape
     if len(truth) != n_q:
@@ -340,7 +332,7 @@ def _sweep(codes_query, codes_base, truth, exclude_self, with_map):
         cells = ham[rows, cols].astype(np.intp) + rows * (k + 2)
         counts = np.bincount(cells, minlength=n_rows * (k + 2)).reshape(n_rows, k + 2)
         inter_at[start:start + n_rows] = np.cumsum(counts[:, :k + 1], axis=1)
-        if with_map and rows.size:
+        if rows.size:
             aps += _block_aps(ham, rows, cols, start if exclude else None)
     curve = []
     for r in range(k + 1):
@@ -349,8 +341,7 @@ def _sweep(codes_query, codes_base, truth, exclude_self, with_map):
         rec = np.where(sizes > 0,
                        inter_at[:, r] / np.maximum(sizes, 1), 1.0)
         curve.append((math.fsum(prec) / n_q, math.fsum(rec) / n_q))
-    map_score = (math.fsum(aps) / len(aps) if aps else 1.0) if with_map else None
-    return curve, map_score
+    return curve, math.fsum(aps) / len(aps) if aps else 1.0
 
 
 class EvalReport:
@@ -389,26 +380,23 @@ def evaluate_retrieval(method, codes_query, codes_base, truth, radius=None,
     if radius is None:
         radius = k // 4
     radius = check_int(radius, "radius", 0, k)
-    if truth.query_count != np.asarray(codes_query).shape[0]:
-        raise ParameterError("ground truth covers %d queries, codes %d"
-                             % (truth.query_count, np.asarray(codes_query).shape[0]))
-    curve, map_score = _sweep(codes_query, codes_base, truth.similar, exclude_self, True)
+    curve, map_score = _sweep(codes_query, codes_base, truth.similar, exclude_self)
     precision, recall = curve[radius]
     run_params = dict(params or {})
     run_params.setdefault("radius", radius)
     return EvalReport(method, k, run_params, precision, recall, map_score, curve)
 
 
-def spectral_norm(mat, max_iter=1000, rtol=1e-9, seed=0):
+def spectral_norm(mat):
     """Largest singular value by power iteration on M^T M.
 
-    Seeded start vector, 1000-iteration cap, 1e-9 relative tolerance; on a
-    hit cap the current estimate is returned.
+    Start vector drawn from seed 0, 1000-iteration cap, 1e-9 relative
+    tolerance; on a hit cap the current estimate is returned.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2:
         raise ParameterError("expected a matrix, got ndim=%d" % mat.ndim)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     x = rng.standard_normal(mat.shape[1])
     nx = np.linalg.norm(x)
     if nx == 0:
@@ -416,14 +404,14 @@ def spectral_norm(mat, max_iter=1000, rtol=1e-9, seed=0):
     x /= nx
     last = 0.0
     est = 0.0
-    for _ in range(max_iter):
+    for _ in range(1000):
         z = mat.T @ (mat @ x)
         nz = np.linalg.norm(z)
         if nz == 0.0:
             return 0.0
         x = z / nz
         est = math.sqrt(nz)
-        if abs(est - last) <= rtol * est:
+        if abs(est - last) <= 1e-9 * est:
             break
         last = est
     return float(est)
@@ -449,10 +437,7 @@ def theory_spectral_check(points, m, ell, seed, sigma, exhaustive=False,
     """
     points = _as_points(points)
     n = points.shape[0]
-    if n > guard:
-        raise GuardError("n=%d exceeds the dense affinity guard %d" % (n, guard))
-    train = TrainSet(points, sigma)
-    w = affinity_matrix(points, train)
+    w = _self_affinity(points, sigma, guard)
     if exhaustive:
         m = n
         idx = np.arange(n)
@@ -490,7 +475,7 @@ def theory_spectral_check(points, m, ell, seed, sigma, exhaustive=False,
         "m": m,
         "ell": int(sketch.ell),
         "seed": int(seed),
-        "sigma": train.sigma,
+        "sigma": float(sigma),
         "rcond": float(rcond),
         "exhaustive": bool(exhaustive),
     }
@@ -498,11 +483,7 @@ def theory_spectral_check(points, m, ell, seed, sigma, exhaustive=False,
 
 def column_norm_diagnostic(points, sigma, guard=2000):
     """Max, min, and ratio of the affinity matrix's squared column norms."""
-    points = _as_points(points)
-    n = points.shape[0]
-    if n > guard:
-        raise GuardError("n=%d exceeds the dense affinity guard %d" % (n, guard))
-    w = affinity_matrix(points, TrainSet(points, sigma))
+    w = _self_affinity(_as_points(points), sigma, guard)
     col = np.sum(w * w, axis=0)
     cmax = float(col.max())
     cmin = float(col.min())

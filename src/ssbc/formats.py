@@ -103,6 +103,8 @@ def read_codes(path):
         raise DataError("%s: malformed header: %s" % (path, exc)) from exc
     if version != FORMAT_VERSION:
         raise DataError("%s: unsupported format version %d" % (path, version))
+    if k < 0 or count < 0:
+        raise DataError("%s: negative k=%d or count=%d" % (path, k, count))
     body = lines[2:]
     if len(body) != count:
         raise DataError("%s: expected %d code lines, found %d"
@@ -118,9 +120,10 @@ def read_codes(path):
                 raw = bytes.fromhex(line)
             except ValueError as exc:
                 raise DataError("%s: bad hex line %d" % (path, i + 3)) from exc
+            if len(raw) != (k + 7) // 8:
+                raise DataError("%s: hex line %d has %d bytes, k=%d needs %d"
+                                % (path, i + 3, len(raw), k, (k + 7) // 8))
             bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:k]
-            if len(bits) < k:
-                raise DataError("%s: short hex line %d" % (path, i + 3))
             rows[i] = np.where(bits > 0, 1, -1)
         else:
             raise DataError("%s: unknown encoding %r" % (path, encoding))
@@ -131,11 +134,11 @@ def read_codes(path):
 
 
 def report_payload(reports, config):
-    """JSON document carrying one or more evaluation reports."""
+    """JSON document carrying one or more EvalReports."""
     return {
         "format_version": FORMAT_VERSION,
         "config": config or {},
-        "reports": [r if isinstance(r, dict) else r.to_dict() for r in reports],
+        "reports": [r.to_dict() for r in reports],
     }
 
 
@@ -157,15 +160,13 @@ def write_reports_csv(path, reports, config, failures=()):
                                                   sort_keys=True))
         handle.write(CSV_HEADER + "\n")
         for rep in reports:
-            rep = rep if isinstance(rep, dict) else rep.to_dict()
-            radius = rep["params"].get("radius", "")
+            radius = rep.params.get("radius", "")
             handle.write("%s,%d,summary,%s,%s,%s,%s,ok\n"
-                         % (rep["method"], rep["k"], radius,
-                            fmt(rep["precision"]), fmt(rep["recall"]),
-                            fmt(rep["map"])))
-            for r, (prec, rec) in enumerate(rep["pr_curve"]):
+                         % (rep.method, rep.k, radius, fmt(rep.precision),
+                            fmt(rep.recall), fmt(rep.map)))
+            for r, (prec, rec) in enumerate(rep.pr_curve):
                 handle.write("%s,%d,pr,%d,%s,%s,,ok\n"
-                             % (rep["method"], rep["k"], r, fmt(prec), fmt(rec)))
+                             % (rep.method, rep.k, r, fmt(prec), fmt(rec)))
         for method, k, message in failures:
             handle.write("%s,%s,summary,,,,,failed:%s\n" % (method, k, message))
 

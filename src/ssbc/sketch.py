@@ -1,46 +1,28 @@
 """Frequent Directions sketch over a stream of m-dimensional rows.
 
-FD keeps an ell x m buffer B. Rows go into zero rows of B; once no zero
-row remains, a shrink step runs: take the SVD of B, subtract the ell-th
-squared singular value from all squared singular values (clamping at
-zero), and set B = diag(s') V^T. This guarantees
-||A^T A - B^T B||_2 <= 2 ||A||_F^2 / ell over the whole stream A, with
-A^T A - B^T B positive semidefinite.
+FD keeps an ell x m buffer B. Each row goes into a zero row of B; when
+none is left, a shrink takes the SVD of B, subtracts delta, the ell-th
+squared singular value, from every squared singular value (clamping at
+zero), and sets B = diag(s') V^T. Over the stream A this guarantees
+||A^T A - B^T B||_2 <= 2 ||A||_F^2 / ell, with A^T A - B^T B positive
+semidefinite. s' and delta come from one squared array (s2 = s * s,
+delta = s2[ell-1]): a separately squared delta can differ by one ulp and
+leave the last value a tiny positive number instead of zero, and B no
+free row.
 
-The shrunk values come from a single squared array (s2 = s * s,
-delta = s2[ell-1]), not from a separately squared scalar: vectorised and
-scalar squaring can disagree by one ulp, which would leave the last shrunk
-value a tiny positive number instead of zero and the buffer no free row.
-
-After a shrink B is diag(s') V^T with orthonormal V^T, so the sketch
-stores B factored, as (s', V^T) and the rows inserted since, and builds
-the ell x m array only when `buffer` is read. Each shrink frees about one
-row, so a shrink follows nearly every insert, and in online use a basis
-read follows every insert as well; a full SVD of B at each would dominate
-the cost of a stream. Both instead factor only the p rows inserted since
-(Brand 2006, "Fast low-rank modifications of the thin SVD"): two
-Gram-Schmidt passes project the new rows onto V^T (on correlated rows such
-as affinities, one pass leaves the new directions measurably
-non-orthogonal to V^T), the residual is QR-factored, and the SVD of the
-square core followed by a rotation yields the buffer's singular values and
-right singular vectors. A shrink applies the rule above to them; a basis
-read takes the top k, straight from the carried pair if no row is pending.
-
-Nearly every shrink follows a single insert, and then the core is the
-arrowhead K = [[diag(s), 0], [p, rho]]: K^T K = diag(s^2, 0) + z z^T with
-z = [p, rho] is a rank-one update of a diagonal. Its eigenvalues are the
-roots of the secular equation, found one by one by LAPACK dlasd4 in O(r)
-each, the divide-and-conquer step of Gu & Eisenstat (1995, "A
-divide-and-conquer algorithm for the bidiagonal SVD"). The eigenvectors
-(D^2 - sigma_i^2)^-1 z are built, as LAPACK dlasd8 does, from a z
-recomputed from the computed roots by the Loewner formula: the roots are
-exact for that z, so the vectors are orthogonal by construction rather
-than only as far as the roots are accurate. The core is decomposed by
-a general SVD instead when more than one row was inserted, when some z_j
-is negligible (rho = 0 among them), when two diagonal entries of
-[s, 0] are tied, when dlasd4 reports failure, or when a recomputed z_j^2
-is not positive. The cutoff for negligible and tied is LAPACK dlasd2's
-deflation tolerance.
+The sketch stores B factored, as (s', V^T) and the rows inserted since,
+and builds the array only when `buffer` is read. A shrink or a basis read
+factors just those rows on top of V^T (Brand 2006, "Fast low-rank
+modifications of the thin SVD"): two Gram-Schmidt passes against V^T and
+a QR of the residual leave a square core K whose SVD, rotated, gives B's
+singular values and right singular vectors. A shrink nearly always
+follows a single insert, and then K is the arrowhead
+[[diag(s), 0], [p, rho]]: K^T K = diag(s^2, 0) + z z^T with z = [p, rho],
+a rank-one update of a diagonal. LAPACK dlasd4 finds its roots one by one
+(Gu & Eisenstat 1995, "A divide-and-conquer algorithm for the bidiagonal
+SVD"), and the vectors (D^2 - sigma_i^2)^-1 z use a z recomputed from the
+roots by the Loewner formula, as dlasd8 does, so they are orthogonal by
+construction.
 
 The memory layout in that solve is part of its result. dlasd4's roots are
 stored one per row of gap (gap[i, j] = d_j^2 - sigma_i^2), and each Loewner
@@ -50,12 +32,8 @@ C-ordered array one row at a time, but pairwise on a Fortran-ordered one,
 and the two orders give different bits. Moving either array to the other
 layout would change the codes.
 
-The buffer is built and decomposed by a full SVD only where nothing is
-carried (before the first shrink, and in a tall sketch, ell > m, where ell
-orthonormal rows do not exist); when the rows the caller uses (the kept
-rows for a shrink, the top k for a basis read) are further than
-_ORTHO_TOL (largest entry of |V^T V - I|) from orthonormal; and for a
-basis read of more rows than the sketch holds.
+_arrowhead_svd lists where a general SVD of K is taken instead, and _svd
+where the whole buffer is decomposed.
 """
 
 import math
@@ -74,9 +52,11 @@ _DEFLATE_TOL = 64 * np.finfo(np.float64).eps
 def _arrowhead_svd(s, p, rho):
     """Singular values and right singular rows of K = [[diag(s), 0], [p, rho]].
 
-    s is positive and non-increasing. Returns None where the secular solve
-    is not used (see the module docstring); the caller then takes an SVD of
-    K. LAPACK orders d = [0, s] ascending, the reverse of K's index order,
+    s is positive and non-increasing. Returns None, and the caller takes
+    an SVD of K, when some z_j is negligible (rho = 0 among them), when two
+    entries of [s, 0] are tied (both at LAPACK dlasd2's deflation
+    tolerance), when dlasd4 reports failure, or when a recomputed z_j^2 is
+    not positive. LAPACK orders d = [0, s] ascending, the reverse of K's index order,
     and dlasd4's delta * work is d_j^2 - sigma_i^2 to high relative
     accuracy.
     """
@@ -207,7 +187,8 @@ class FdSketch:
         used(s) is how many leading right singular rows the caller reads.
         The carried factorisation, updated with the pending rows if there
         are any, is returned when it has that many rows and they are within
-        _ORTHO_TOL of orthonormal; otherwise the whole buffer is decomposed.
+        _ORTHO_TOL of orthonormal; otherwise, and where nothing is carried,
+        the whole buffer is decomposed.
         """
         try:
             if self._vt is not None:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ssbc import (GuardError, ParameterError, exact_codes, haar_rotation,
-                  lsh_encode, lsh_encode_batch, lsh_train)
+                  lsh_encode_batch, lsh_train)
 from ssbc.data import synth_uniform
 
 
@@ -24,35 +24,27 @@ def test_lsh_train_validation():
 
 def test_lsh_encode_matches_brute_force():
     model = lsh_train(6, 5, 3)
-    rng = np.random.default_rng(11)
-    point = rng.standard_normal(6)
-    code = lsh_encode(model, point)
-    for j in range(5):
-        dot = sum(point[i] * model.projections[i, j] for i in range(6))
-        assert code[j] == (1 if dot >= 0 else -1)
-
-
-def test_lsh_encode_batch_rows_match_single():
-    model = lsh_train(6, 5, 3)
     pts = np.random.default_rng(12).standard_normal((8, 6))
-    batch = lsh_encode_batch(model, pts)
-    assert batch.shape == (8, 5)
-    assert batch.dtype == np.int8
-    for i in range(8):
-        assert np.array_equal(batch[i], lsh_encode(model, pts[i]))
+    codes = lsh_encode_batch(model, pts)
+    assert codes.shape == (8, 5)
+    assert codes.dtype == np.int8
+    for p, code in zip(pts, codes):
+        for j in range(5):
+            dot = sum(p[i] * model.projections[i, j] for i in range(6))
+            assert code[j] == (1 if dot >= 0 else -1)
 
 
 def test_lsh_encode_validates_dimension():
     model = lsh_train(6, 5, 3)
     with pytest.raises(ParameterError):
-        lsh_encode(model, np.zeros(7))
+        lsh_encode_batch(model, np.zeros((1, 7)))
     with pytest.raises(ParameterError):
         lsh_encode_batch(model, np.zeros((3, 7)))
 
 
 def test_lsh_zero_point_is_all_plus():
     model = lsh_train(4, 3, 0)
-    assert np.array_equal(lsh_encode(model, np.zeros(4)), [1, 1, 1])
+    assert np.array_equal(lsh_encode_batch(model, np.zeros((1, 4))), [[1, 1, 1]])
 
 
 def test_lsh_scale_invariance():
@@ -78,7 +70,6 @@ def test_exact_codes_basic():
     out = exact_codes(pts, 4, 0.7)
     assert out.codes.shape == (20, 4)
     assert out.codes.dtype == np.int8
-    assert out.mode == "deterministic"
     assert out.eigenvalues.shape == (4,)
     assert np.all(np.diff(out.eigenvalues) <= 1e-12)  # sorted descending
 
@@ -104,14 +95,6 @@ def test_exact_codes_top_eigenvector_sign_structure():
     out = exact_codes(pts, 3, 1.0)
     first = out.codes[:, 0]
     assert np.all(first == first[0])
-
-
-def test_exact_randomized_identity_rotation_reduces_to_deterministic():
-    pts = synth_uniform(18, 5, 6).points
-    det = exact_codes(pts, 4, 0.9)
-    rand = exact_codes(pts, 4, 0.9, mode="randomized", rotation=np.eye(4))
-    assert np.array_equal(det.codes, rand.codes)
-    assert rand.mode == "randomized"
 
 
 def test_exact_randomized_is_seed_deterministic():

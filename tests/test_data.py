@@ -60,9 +60,16 @@ def test_csv_roundtrip_bit_exact(tmp_path):
 def test_load_csv_header_and_drop_columns(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("id,x,y\n7,1.5,2.5\n8,3.5,4.5\n")
-    ds = load_csv(path, has_header=True, drop_columns=[0], name="pair")
+    ds = load_csv(path, has_header=True, drop_columns=[0])
     assert np.array_equal(ds.points, [[1.5, 2.5], [3.5, 4.5]])
-    assert ds.name == "pair"
+    assert ds.name == "t"
+
+
+def test_load_csv_header_is_the_first_non_empty_row(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("\n\nx,y\n1,2\n\n3,4\n")
+    ds = load_csv(path, has_header=True)
+    assert np.array_equal(ds.points, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_load_csv_missing_cells(tmp_path):
@@ -129,8 +136,6 @@ def test_split_spec_validation():
         SplitSpec(-1, 5, 0)
     with pytest.raises(ParameterError):
         SplitSpec(5, -1, 0)
-    with pytest.raises(ParameterError):
-        SplitSpec(5, 5, 0, strategy="sorted")
 
 
 def test_split_matches_permutation_oracle():

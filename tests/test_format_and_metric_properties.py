@@ -70,7 +70,7 @@ def test_pr_curve_and_evaluation_match_the_per_radius_oracle(case):
         returned = retrieve_hamming(codes_q, codes_b, r, exclude)
         assert curve[r] == precision_recall(returned, truth)
     ranked = rank_by_hamming(codes_q, codes_b, exclude)
-    gt = GroundTruth(len(codes_q), len(codes_b), truth, 1.0, 1.0)
+    gt = GroundTruth(truth, 1.0)
     report = evaluate_retrieval("drawn", codes_q, codes_b, gt, exclude_self=exclude)
     assert report.pr_curve == curve
     assert report.map == mean_average_precision(ranked, truth)

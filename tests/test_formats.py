@@ -121,6 +121,24 @@ def test_read_codes_error_paths(tmp_path):
         read_codes(tmp_path / "missing")
 
 
+def test_read_codes_rejects_negative_header_sizes(tmp_path):
+    path = tmp_path / "neg"
+    for header in ("k=-1 count=1", "k=2 count=-1"):
+        path.write_text("# ssbc-codes format=1 method=m %s encoding=signs\n"
+                        "# config {}\n++\n" % header)
+        with pytest.raises(DataError, match="negative"):
+            read_codes(path)
+
+
+def test_read_codes_rejects_hex_lines_of_the_wrong_byte_length(tmp_path):
+    path = tmp_path / "long"
+    for k, line in ((4, "f0ff"), (9, "ff"), (9, "ff80ff"), (8, "")):
+        path.write_text("# ssbc-codes format=1 method=m k=%d count=1 encoding=hex\n"
+                        "# config {}\n%s\n" % (k, line))
+        with pytest.raises(DataError, match="bytes"):
+            read_codes(path)
+
+
 def sample_report():
     return EvalReport("lsh", 3, {"radius": 1, "seed": 0}, 0.5, 0.25, 0.75,
                       [(1.0, 0.0), (0.5, 0.25), (0.25, 0.5), (0.125, 1.0)])

@@ -22,7 +22,13 @@ sigma_nn30 on the training points.
   estimate_sigma_all of the training points, as hex floats;
 * include-train: `ssbc run --include-train` codes at seed 1000 and k = 30
   for ssbc_streaming and ssbc_online, computed by cli._encode: the sha256
-  of the test codes and of the training points' codes.
+  of the test codes and of the training points' codes;
+* theory: `theory_spectral_check` (m = 100, ell = 20) at seeds 0-2 and
+  exhaustive, then `column_norm_diagnostic`, on synth_uniform(500, 50, 0)
+  with sigma_nn30, as hex floats;
+* exact: `exact_codes` at n = 300 (synth_uniform(300, 50, 0), sigma_nn30)
+  and k = 20, deterministic and randomized (seed 0): the sha256 of the
+  codes and of the eigenvalues.
 
 A ground truth's digest hashes its sets as int64, so it does not depend
 on the integer type that holds them.
@@ -40,9 +46,10 @@ import json
 
 import numpy as np
 
-from ssbc import (SsbcParams, TrainSet, estimate_sigma_all, estimate_sigma_nn,
-                  evaluate_retrieval, ground_truth, lsh_encode_batch, lsh_train,
-                  ssbc_encode_batch, ssbc_process_online, ssbc_train)
+from ssbc import (SsbcParams, TrainSet, column_norm_diagnostic, estimate_sigma_all,
+                  estimate_sigma_nn, evaluate_retrieval, exact_codes, ground_truth,
+                  lsh_encode_batch, lsh_train, ssbc_encode_batch, ssbc_process_online,
+                  ssbc_train, theory_spectral_check)
 from ssbc import cli
 from ssbc.data import synth_uniform
 
@@ -110,6 +117,23 @@ def main():
         test_codes, train_codes = cli._encode(args, train, test, True)
         print("include-train seed=1000 k=30 method=%s test=%s train=%s"
               % (method, _sha(test_codes), _sha(train_codes)), flush=True)
+    pts = synth_uniform(500, 50, 0).points
+    sigma = estimate_sigma_nn(pts, 30)
+    runs = [theory_spectral_check(pts, 100, 20, seed, sigma) for seed in range(3)]
+    runs.append(theory_spectral_check(pts, 100, 20, 0, sigma, exhaustive=True))
+    errs = ["%s,%s,%s,%s,%s" % (r["errW2"].hex(), r["errHat"].hex(), r["errTilde"].hex(),
+                                r["frobW"].hex(), r["degenerate"]) for r in runs]
+    cols = column_norm_diagnostic(pts, sigma)
+    print("theory n=500 sigma=%s seeds0-2,exhaustive=%s cols=%s,%s,%s"
+          % (sigma.hex(), ";".join(errs), cols["cmax"].hex(), cols["cmin"].hex(),
+             cols["ratio"].hex()), flush=True)
+    pts = synth_uniform(300, 50, 0).points
+    sigma = estimate_sigma_nn(pts, 30)
+    fields = []
+    for mode in ("deterministic", "randomized"):
+        out = exact_codes(pts, 20, sigma, mode=mode, seed=0)
+        fields.append("%s=%s,%s" % (mode, _sha(out.codes), _sha(out.eigenvalues)))
+    print("exact n=300 k=20 %s" % " ".join(fields), flush=True)
 
 
 if __name__ == "__main__":
