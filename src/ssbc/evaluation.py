@@ -7,25 +7,31 @@ and means use math.fsum, so results are reproducible bit for bit against
 a brute-force reimplementation of the same definitions.
 
 Ground truth and evaluation each make one pass over blocks of at most
-_ROW_BLOCK queries, so neither builds an n x n array:
+_ROW_BLOCK queries and at most _PAIR_BLOCK query x base pairs (26 queries
+against 10 000 points), so neither builds an n x n array and, up to 2**18
+base points, each block's temporaries stay near 2 MB:
 
-* Hamming distances come from one float64 BLAS product per block. For +-1
-  codes of length k, q.b counts agreements minus disagreements, so the
-  distance is (k - q.b) / 2. The product is exact: every partial sum is an
-  integer of magnitude at most k, far below 2**53, in whatever order BLAS
-  adds. The block is cast to the smallest unsigned type that holds k + 1
-  (uint8 up to k = 254, uint16 above), and an excluded self match is set to
-  k + 1, beyond every radius.
+* Hamming distances come from one float32 BLAS product per block (float64
+  for codes longer than 2**23 bits). For +-1 codes of length k, q.b counts
+  agreements minus disagreements, so the distance is (k - q.b) / 2. This
+  is exact in whatever order BLAS adds: every partial sum is an integer of
+  magnitude at most k, and k - q.b one of at most 2k <= 2**24, all of which
+  float32 holds exactly. The
+  block is cast to the smallest unsigned type that holds k + 1 (uint8 up
+  to k = 254, uint16 above), and an excluded self match is set to k + 1,
+  beyond every radius.
 * MAP reads each relevant item's rank off one stable argsort of the block's
-  rows and its inverse permutation, so ties keep index order. numpy
-  radix-sorts integers of 16 bits or less. An excluded self sorts last and
-  is never a hit.
-* Ground truth takes candidates from the Gram form ||q||^2 + ||b||^2 -
-  2 q.b, compared with threshold^2 plus a rounding slack that scales with
-  ||q||^2 + ||b||^2 (derived in ground_truth), and confirms every candidate
-  by its exact cdist distance. Each set therefore equals
-  cdist(queries, base) <= threshold. The sets are held as one flat array of
-  the smallest index type from int16 up, plus an offset per query.
+  rows, so ties keep index order. numpy radix-sorts integers of 16 bits or
+  less. An excluded self sorts last and is never a hit.
+* Ground truth compares the Gram form ||q||^2 + ||b||^2 - 2 q.b with
+  threshold^2 on both sides of a rounding slack that scales with
+  ||q||^2 + ||b||^2 + threshold^2 (both bounds derived in ground_truth).
+  Pairs above the upper bound are dropped and pairs below the lower bound
+  are kept without a cdist call; only the band in between is confirmed by
+  its exact cdist distance. Each set therefore equals
+  cdist(queries, base) <= threshold. The sets are held as one flat array
+  of the smallest index type from int16 up, plus an offset per query, and
+  the sweep reads them by slices of that array.
 """
 
 import math
@@ -38,6 +44,9 @@ from .errors import DataError, NumericalError, ParameterError, check_int
 from .affinity import _ROW_BLOCK, _as_points, _self_affinity
 from .sketch import FdSketch
 
+# query x base pairs per evaluation block (see _block_rows): 2 MB of float64
+_PAIR_BLOCK = 1 << 18
+
 
 def _as_codes(codes, name="codes"):
     codes = np.asarray(codes)
@@ -46,7 +55,7 @@ def _as_codes(codes, name="codes"):
                              % (name, codes.shape))
     if not np.all(np.abs(codes) == 1):
         raise DataError("%s entries must all be -1 or +1" % name)
-    return codes.astype(np.float64)
+    return codes.astype(np.float32 if codes.shape[1] <= 1 << 23 else np.float64)
 
 
 def _code_pair(codes_query, codes_base):
@@ -57,12 +66,18 @@ def _code_pair(codes_query, codes_base):
     return q, b
 
 
+def _block_rows(n_b):
+    """Queries per evaluation block against n_b base points: at most
+    _ROW_BLOCK, and at most _PAIR_BLOCK pairs unless one query alone has more."""
+    return max(1, min(_ROW_BLOCK, _PAIR_BLOCK // n_b))
+
+
 def _hamming_block(q, b, start, exclude):
     """Hamming distances from query rows start, start+1, ... (at most
-    _ROW_BLOCK of them) to every base code; with exclude, query i's
+    _block_rows(len(b)) of them) to every base code; with exclude, query i's
     distance to base i reads k + 1."""
     k = q.shape[1]
-    prod = q[start:start + _ROW_BLOCK] @ b.T
+    prod = q[start:start + _block_rows(b.shape[0])] @ b.T
     np.subtract(k, prod, out=prod)
     prod *= 0.5
     ham = prod.astype(np.min_scalar_type(k + 1))
@@ -81,8 +96,9 @@ def hamming_matrix(codes_query, codes_base):
     """
     q, b = _code_pair(codes_query, codes_base)
     ham = np.empty((q.shape[0], b.shape[0]), dtype=np.int32)
-    for start in range(0, q.shape[0], _ROW_BLOCK):
-        ham[start:start + _ROW_BLOCK] = _hamming_block(q, b, start, False)
+    step = _block_rows(b.shape[0])
+    for start in range(0, q.shape[0], step):
+        ham[start:start + step] = _hamming_block(q, b, start, False)
     return ham
 
 
@@ -138,6 +154,16 @@ def ground_truth(queries, base, sigma, threshold=None, exclude_self=None):
     ascending array of base indices, a view into one flat array shared by all
     queries; its type is int16 when the base has at most 32 768 points and
     int32 (int64 past 2**31 points) otherwise.
+
+    The sets equal cdist(queries, base) <= threshold pair for pair. With
+    t the threshold, d the dimension, S = |q|^2 + |b|^2 + t^2 and
+    tol = 2(d + 3) eps, a pair whose Gram form |q|^2 + |b|^2 - 2 q.b exceeds
+    t^2 + tol S is dropped and one at most t^2 - tol S is kept, both without
+    cdist (the bounds are derived below). Only the band between them goes
+    to cdist, in one call per query that has band pairs. Far from the
+    origin, where the Gram form cancels most digits, every candidate is in
+    the band. Queries go in blocks of at most _ROW_BLOCK rows and
+    _PAIR_BLOCK pairs.
     """
     queries = _as_points(queries, "queries")
     base = _as_points(base, "base")
@@ -151,44 +177,63 @@ def ground_truth(queries, base, sigma, threshold=None, exclude_self=None):
     if not (threshold > 0):
         raise ParameterError("threshold must be positive, got %r" % threshold)
     exclude = _auto_exclude(queries, base, exclude_self)
-    # Candidates. |q - b| <= t exactly when q.b - |b|^2/2 >= (|q|^2 - t^2)/2.
-    # Adding tol |b|^2/2 to the left side and taking tol (|q|^2 + t^2)/2 off
-    # the right turns this into the Gram test |q|^2 + |b|^2 - 2 q.b <= t^2 + tol S,
-    # S = |q|^2 + |b|^2 + t^2, at one BLAS product, one subtraction and one
-    # comparison per pair. No pair that cdist accepts is dropped. Let u =
-    # eps/2 and d be the dimension. cdist rounds d differences, their
+    # Two Gram tests. |q - b| <= t exactly when q.b - |b|^2/2 >= (|q|^2 - t^2)/2.
+    # Let u = eps/2, d be the dimension and S = |q|^2 + |b|^2 + t^2. A
+    # length-d dot product, summed in any order, is within d u |x||y| of its
+    # value, so the computed q.b, |q|^2/2 and |b|^2/2, with the roundings of
+    # the scalings and the subtraction, are off by at most (d + 3)u S in all
+    # on the half scale of the tests.
+    #
+    # Candidates: adding tol |b|^2/2 to the left side and taking
+    # tol (|q|^2 + t^2)/2 off the right gives |q|^2 + |b|^2 - 2 q.b <= t^2 + tol S,
+    # at one BLAS product, one subtraction and one comparison per pair. No
+    # pair that cdist accepts is dropped: cdist rounds d differences, their
     # squares, their sum and its root, so it accepts only pairs with
     # |q - b|^2 <= t^2 (1 + (d + 5)u), which is (d + 5)u t^2/2 on the half
-    # scale of the test. A length-d dot product, summed in any order, is
-    # within d u |x||y| of its value, so the computed q.b, |q|^2/2 and
-    # |b|^2/2, with the roundings of the scalings and the subtraction, are
-    # off by at most (d + 3)u S in all. With cdist's share that is at most
-    # (3d + 11)u S/2, below the slack tol S/2 = (4d + 12)u S/2. Candidates
-    # are then confirmed by cdist itself.
+    # scale. With the test's own error that is at most (3d + 11)u S/2, below
+    # the slack tol S/2 = (4d + 12)u S/2.
+    #
+    # Sure pairs: the second test, |q|^2 + |b|^2 - 2 q.b <= t^2 - tol S, adds
+    # tol |b|^2 to the candidate's left side, one more rounding, so it is off
+    # by at most (d + 4)u S. A candidate that passes it as computed has
+    # |q - b|^2 <= t^2 - tol S + 2(d + 4)u S = t^2 - (2d + 4)u S. cdist's
+    # rounded sum of squares is then at most |q - b|^2 (1 + (d + 2)u), which is
+    # below t^2 - (d + 2)u S <= t^2, and the rounded root of a value at most
+    # t^2 is at most the float t: cdist accepts the pair too. With the band
+    # between the two tests confirmed by cdist, each set equals
+    # cdist(queries, base) <= threshold.
     tol = 2 * (queries.shape[1] + 3) * np.finfo(np.float64).eps
     t2 = threshold * threshold
-    half_b = (1 - tol) / 2 * np.einsum("ij,ij->i", base, base)
+    bb = np.einsum("ij,ij->i", base, base)
+    half_b = (1 - tol) / 2 * bb
+    tol_b = tol * bb
     n_b = base.shape[0]
     index_type = np.promote_types(np.min_scalar_type(-n_b), np.int16)
-    kept = []
-    for start in range(0, queries.shape[0], _ROW_BLOCK):
-        block = queries[start:start + _ROW_BLOCK]
-        floor = ((1 - tol) * np.einsum("ij,ij->i", block, block) - (1 + tol) * t2) / 2
+    step = _block_rows(n_b)
+    flats, sizes = [], []
+    for start in range(0, queries.shape[0], step):
+        block = queries[start:start + step]
+        qq = np.einsum("ij,ij->i", block, block)
         gram = block @ base.T
         gram -= half_b
-        near = np.flatnonzero(gram >= floor[:, None])
+        near = np.flatnonzero(gram >= (((1 - tol) * qq - (1 + tol) * t2) / 2)[:, None])
+        rows, cols = np.divmod(near, n_b)
+        sure = ((1 + tol) * qq - (1 - tol) * t2) / 2
+        keep = gram.ravel()[near] >= sure[rows] + tol_b[cols]
         del gram
-        bounds = np.searchsorted(near, n_b * np.arange(block.shape[0] + 1))
-        for r in range(block.shape[0]):
-            i = start + r
-            cols = near[bounds[r]:bounds[r + 1]] - r * n_b
-            idx = cols[cdist(queries[i:i + 1], base[cols])[0] <= threshold]
-            if exclude:
-                idx = idx[idx != i]
-            kept.append(idx.astype(index_type))
-    ends = np.zeros(len(kept) + 1, dtype=np.int64)
-    np.cumsum([s.size for s in kept], out=ends[1:])
-    return GroundTruth(SimilarSets(np.concatenate(kept), ends), threshold)
+        band = np.flatnonzero(~keep)
+        firsts = np.flatnonzero(np.diff(rows[band], prepend=-1)).tolist()
+        for a, z in zip(firsts, firsts[1:] + [band.size]):
+            pairs = band[a:z]
+            i = start + rows[pairs[0]]
+            keep[pairs] = cdist(queries[i:i + 1], base[cols[pairs]])[0] <= threshold
+        if exclude:
+            keep &= cols != rows + start
+        flats.append(cols[keep].astype(index_type))
+        sizes.append(np.bincount(rows[keep], minlength=block.shape[0]))
+    ends = np.zeros(queries.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(sizes), out=ends[1:])
+    return GroundTruth(SimilarSets(np.concatenate(flats), ends), threshold)
 
 
 def retrieve_hamming(codes_query, codes_base, r, exclude_self=None):
@@ -295,12 +340,12 @@ def _block_aps(ham, rows, cols, exclude_from):
         keep = cols != rows + exclude_from
         local, cols = local[keep], cols[keep]
     n_b = ham.shape[1]
+    relevant = np.zeros((need.size, n_b), dtype=bool)
+    relevant[local, cols] = True
     order = np.argsort(ham[need], axis=1, kind="stable")
-    place = np.empty(order.shape, dtype=np.int32)
-    positions = np.arange(n_b, dtype=np.int32)
-    for row, row_order in zip(place, order):
-        row[row_order] = positions
-    hit_rows, pos = np.divmod(np.sort(local * n_b + place[local, cols]), n_b)
+    for row, row_order in zip(relevant, order):
+        row[:] = row[row_order]
+    hit_rows, pos = np.divmod(np.flatnonzero(relevant), n_b)
     ranks = pos + 1
     found = np.bincount(hit_rows, minlength=need.size)
     firsts = np.cumsum(found) - found
@@ -310,28 +355,39 @@ def _block_aps(ham, rows, cols, exclude_from):
             for a, m in zip(firsts.tolist(), found.tolist())]
 
 
+def _flat_sets(similar):
+    """similar as SimilarSets; a sequence of index arrays is flattened once."""
+    if isinstance(similar, SimilarSets):
+        return similar
+    sets = [np.asarray(s, dtype=np.intp).reshape(-1) for s in similar]
+    ends = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum([s.size for s in sets], out=ends[1:])
+    return SimilarSets(np.concatenate(sets), ends)
+
+
 def _sweep(codes_query, codes_base, truth, exclude_self):
     """(PR curve, MAP) in one pass over query blocks."""
     q, b = _code_pair(codes_query, codes_base)
     n_q, k = q.shape
     if len(truth) != n_q:
         raise ParameterError("truth covers %d queries, codes %d" % (len(truth), n_q))
+    truth = _flat_sets(truth)
     exclude = _auto_exclude(codes_query, codes_base, exclude_self)
     ret_at = np.empty((n_q, k + 1), dtype=np.int64)
     inter_at = np.empty((n_q, k + 1), dtype=np.int64)
-    sizes = np.array([len(t) for t in truth], dtype=np.int64)
+    sizes = np.diff(truth.ends)
     aps = []
-    for start in range(0, n_q, _ROW_BLOCK):
+    for start in range(0, n_q, _block_rows(b.shape[0])):
         ham = _hamming_block(q, b, start, exclude)
         n_rows = ham.shape[0]
-        rows = np.repeat(np.arange(n_rows), sizes[start:start + n_rows])
-        cols = np.concatenate([np.asarray(t, dtype=np.intp).reshape(-1)
-                               for t in truth[start:start + n_rows]])
+        stop = start + n_rows
+        rows = np.repeat(np.arange(n_rows), sizes[start:stop])
+        cols = truth.flat[truth.ends[start]:truth.ends[stop]]
         counts = [np.bincount(row, minlength=k + 2)[:k + 1] for row in ham]
-        ret_at[start:start + n_rows] = np.cumsum(counts, axis=1)
+        ret_at[start:stop] = np.cumsum(counts, axis=1)
         cells = ham[rows, cols].astype(np.intp) + rows * (k + 2)
         counts = np.bincount(cells, minlength=n_rows * (k + 2)).reshape(n_rows, k + 2)
-        inter_at[start:start + n_rows] = np.cumsum(counts[:, :k + 1], axis=1)
+        inter_at[start:stop] = np.cumsum(counts[:, :k + 1], axis=1)
         if rows.size:
             aps += _block_aps(ham, rows, cols, start if exclude else None)
     curve = []

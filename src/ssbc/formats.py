@@ -123,8 +123,11 @@ def read_codes(path):
             if len(raw) != (k + 7) // 8:
                 raise DataError("%s: hex line %d has %d bytes, k=%d needs %d"
                                 % (path, i + 3, len(raw), k, (k + 7) // 8))
-            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:k]
-            rows[i] = np.where(bits > 0, 1, -1)
+            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+            if bits[k:].any():
+                raise DataError("%s: hex line %d sets padding bits past k=%d"
+                                % (path, i + 3, k))
+            rows[i] = np.where(bits[:k] > 0, 1, -1)
         else:
             raise DataError("%s: unknown encoding %r" % (path, encoding))
     meta["k"] = k

@@ -6,9 +6,9 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from ssbc import (DataError, GuardError, ParameterError, column_norm_diagnostic,
-                  evaluation, evaluate_retrieval, ground_truth, hamming_matrix,
-                  lsh_train, lsh_encode_batch, mean_average_precision, pr_curve,
-                  precision_recall, rank_by_hamming, retrieve_hamming,
+                  estimate_sigma_nn, evaluation, evaluate_retrieval, ground_truth,
+                  hamming_matrix, lsh_train, lsh_encode_batch, mean_average_precision,
+                  pr_curve, precision_recall, rank_by_hamming, retrieve_hamming,
                   spectral_norm, theory_spectral_check)
 from ssbc.data import synth_uniform
 
@@ -333,11 +333,12 @@ def test_evaluate_retrieval_consistency():
 
 @pytest.mark.parametrize("same", [True, False])
 def test_evaluate_retrieval_computes_each_distance_once(monkeypatch, same):
-    base = synth_uniform(600, 5, 8).points
+    # 3000 base points: the pair bound, not _ROW_BLOCK, sizes the blocks
+    base = synth_uniform(3000, 5, 8).points
     queries = base if same else synth_uniform(300, 5, 9).points
     model = lsh_train(5, 8, 5)
     cq, cb = lsh_encode_batch(model, queries), lsh_encode_batch(model, base)
-    truth = ground_truth(queries, base, sigma=0.35)
+    truth = ground_truth(queries, base, sigma=0.1)
     blocks = []
     block = evaluation._hamming_block
 
@@ -349,18 +350,80 @@ def test_evaluate_retrieval_computes_each_distance_once(monkeypatch, same):
     monkeypatch.setattr(evaluation, "_hamming_block", record)
     report = evaluate_retrieval("lsh", cq, cb, truth)
     monkeypatch.undo()
-    # consecutive blocks of at most _ROW_BLOCK rows cover every query once,
-    # each against the whole base
+    # consecutive blocks of _block_rows(n_b) rows, at most _PAIR_BLOCK
+    # pairs each, cover every query once, each against the whole base
+    step = evaluation._block_rows(len(cb))
+    assert step < evaluation._ROW_BLOCK and step * len(cb) <= evaluation._PAIR_BLOCK
     starts = [start for start, _ in blocks]
     rows = [shape[0] for _, shape in blocks]
     assert len(blocks) > 1
-    assert starts == list(np.cumsum([0] + rows[:-1]))
+    assert starts == list(range(0, len(cq), step))
     assert sum(rows) == len(cq)
-    assert max(rows) <= evaluation._ROW_BLOCK
+    assert all(r == step for r in rows[:-1]) and 0 < rows[-1] <= step
     assert all(shape[1] == len(cb) for _, shape in blocks)
     assert report.pr_curve == pr_curve(cq, cb, truth.similar)
     assert report.map == mean_average_precision(rank_by_hamming(cq, cb),
                                                 truth.similar)
+
+
+def _criterion_5_split(seed):
+    pts = synth_uniform(2500, 50, seed).points
+    perm = np.random.default_rng(seed).permutation(2500)
+    return estimate_sigma_nn(pts[perm[:500]], 30), pts[perm[500:]]
+
+
+def test_ground_truth_settles_the_criterion_5_split_without_cdist(monkeypatch):
+    # every pair there is clearly inside or outside the threshold, so the
+    # two-sided Gram test settles it and cdist sees no pair
+    sigma, test = _criterion_5_split(1000)
+    seen = []
+    real = evaluation.cdist
+
+    def record(a, b):
+        seen.append(len(b))
+        return real(a, b)
+
+    monkeypatch.setattr(evaluation, "cdist", record)
+    truth = ground_truth(test, test, sigma)
+    monkeypatch.undo()
+    assert seen == []
+    assert_same_sets(truth, cdist_sets(test, test, sigma, True))
+
+
+def test_ground_truth_sends_every_candidate_of_a_far_split_to_cdist(monkeypatch):
+    # shifted by 1e6, |q|^2 + |b|^2 - 2 q.b cancels almost every digit: no
+    # pair is sure, every candidate is in the band, one cdist call per query
+    sigma, test = _criterion_5_split(1000)
+    test = test[:300] + 1e6
+    seen = []
+    real = evaluation.cdist
+
+    def record(a, b):
+        seen.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(evaluation, "cdist", record)
+    truth = ground_truth(test, test, sigma)
+    monkeypatch.undo()
+    assert seen == [1] * len(test)
+    assert_same_sets(truth, cdist_sets(test, test, sigma, True))
+
+
+def test_evaluate_retrieval_peak_does_not_grow_with_the_base():
+    # a block holds at most _PAIR_BLOCK pairs, so at 6000 base points the
+    # peak stays at a fixed few MB; 128-row blocks would take 16 MB here
+    n_b = 6000
+    base = synth_uniform(n_b, 5, 12).points
+    codes = np.where(np.random.default_rng(12).random((n_b, 16)) < 0.5, -1, 1)
+    truth = ground_truth(base[:300], base, 0.1)
+    tracemalloc.start()
+    try:
+        report = evaluate_retrieval("m", codes[:300], codes, truth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < report.map < 1.0
+    assert peak < 8e6, peak
 
 
 def test_evaluate_retrieval_default_radius_and_validation():
@@ -474,7 +537,7 @@ def test_evaluation_peak_memory_stays_below_half_the_dense_footprint():
 
 
 def test_evaluate_retrieval_alone_stays_well_below_the_dense_hamming_matrix():
-    # evaluation holds O(_ROW_BLOCK * n) at once, a share of the n x n
+    # evaluation holds O(_block_rows(n) * n) at once, a share of the n x n
     # int32 Hamming matrix that falls as n grows
     n = 3000
     pts = synth_uniform(n, 5, 11).points

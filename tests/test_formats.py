@@ -139,6 +139,20 @@ def test_read_codes_rejects_hex_lines_of_the_wrong_byte_length(tmp_path):
             read_codes(path)
 
 
+def test_read_codes_rejects_set_padding_bits(tmp_path):
+    path = tmp_path / "pad"
+    for k, line in ((4, "ff"), (4, "f1"), (9, "ff40"), (1, "c0")):
+        path.write_text("# ssbc-codes format=1 method=m k=%d count=1 encoding=hex\n"
+                        "# config {}\n%s\n" % (k, line))
+        with pytest.raises(DataError, match="padding"):
+            read_codes(path)
+    # the same lines with zero padding read back
+    for k, line, want in ((4, "f0", [1] * 4), (9, "ff80", [1] * 9), (1, "80", [1])):
+        path.write_text("# ssbc-codes format=1 method=m k=%d count=1 encoding=hex\n"
+                        "# config {}\n%s\n" % (k, line))
+        assert read_codes(path)[0].tolist() == [want]
+
+
 def sample_report():
     return EvalReport("lsh", 3, {"radius": 1, "seed": 0}, 0.5, 0.25, 0.75,
                       [(1.0, 0.0), (0.5, 0.25), (0.25, 0.5), (0.125, 1.0)])

@@ -28,7 +28,14 @@ sigma_nn30 on the training points.
   with sigma_nn30, as hex floats;
 * exact: `exact_codes` at n = 300 (synth_uniform(300, 50, 0), sigma_nn30)
   and k = 20, deterministic and randomized (seed 0): the sha256 of the
-  codes and of the eigenvalues.
+  codes and of the eigenvalues;
+* asym: the truth of the seed-1000 test points against its training points
+  (no self-exclusion), and the report of the test points' LSH codes (k=32)
+  against the training points' codes;
+* far: the truth of the seed-1000 test points shifted by 1e6 in every
+  coordinate, where the Gram form cancels most digits and every candidate
+  pair goes to cdist, and the report of the unshifted points' LSH codes
+  (k=32) against it.
 
 A ground truth's digest hashes its sets as int64, so it does not depend
 on the integer type that holds them.
@@ -134,6 +141,17 @@ def main():
         out = exact_codes(pts, 20, sigma, mode=mode, seed=0)
         fields.append("%s=%s,%s" % (mode, _sha(out.codes), _sha(out.eigenvalues)))
     print("exact n=300 k=20 %s" % " ".join(fields), flush=True)
+    train, test = _split(1000)
+    model = lsh_train(50, 32, 1000)
+    codes = lsh_encode_batch(model, test)
+    truth = ground_truth(test, train.points, train.sigma)
+    report = evaluate_retrieval("lsh", codes, lsh_encode_batch(model, train.points), truth)
+    print("asym seed=1000 k=32 truth=%s report=%s" % (_truth_sha(truth), _report_sha(report)),
+          flush=True)
+    truth = ground_truth(test + 1e6, test + 1e6, train.sigma)
+    report = evaluate_retrieval("lsh", codes, codes, truth)
+    print("far seed=1000 shift=1e6 k=32 truth=%s report=%s"
+          % (_truth_sha(truth), _report_sha(report)), flush=True)
 
 
 if __name__ == "__main__":
