@@ -8,7 +8,8 @@ preserved because it is how the estimators are defined downstream of us.
 Affinity rows are built in place on their cdist output, and the bandwidth
 estimators stream blocks of distance rows, so neither holds an m x m
 distance array. Per pair, a block's cdist value equals the full cdist
-value, so blocking changes no result.
+value, so blocking changes no result. _row_blocks is the one block rule
+of every streamed pass: training, encoding, the estimators and evaluation.
 """
 
 import itertools
@@ -19,12 +20,16 @@ from scipy.spatial.distance import cdist
 
 from .errors import DataError, GuardError, ParameterError, check_int
 
-# rows per block wherever affinity rows are streamed (training, batch
-# encoding and its projection) and queries per block in evaluation: bounds
-# that memory at O(block * m) and changes no result
+# rows and row x column pairs (2 MB of float64) per block of a streamed pass
 _ROW_BLOCK = 128
-# rows per block of the bandwidth estimators' distance rows
-_SIGMA_BLOCK = 256
+_PAIR_BLOCK = 1 << 18
+
+
+def _row_blocks(n, width):
+    """Slices of range(n), in order, each of at most _ROW_BLOCK rows and,
+    unless one row alone is wider, at most _PAIR_BLOCK pairs of width columns."""
+    step = max(1, min(_ROW_BLOCK, _PAIR_BLOCK // width))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 def _as_points(arr, name="points"):
@@ -105,19 +110,20 @@ def estimate_sigma_nn(points, t=30):
     if n <= t:
         raise ParameterError("need more than t=%d points, got n=%d" % (t, n))
     nth = np.empty(n)
-    for start in range(0, n, _SIGMA_BLOCK):
-        dist = cdist(points[start:start + _SIGMA_BLOCK], points, "euclidean")
+    for rows in _row_blocks(n, n):
+        dist = cdist(points[rows], points, "euclidean")
         own = np.arange(dist.shape[0])
-        dist[own, start + own] = np.inf
+        dist[own, rows.start + own] = np.inf
         dist.partition(t - 1, axis=1)
-        nth[start:start + dist.shape[0]] = dist[:, t - 1]
+        nth[rows] = dist[:, t - 1]
     return math.fsum(nth) / n
 
 
 def _upper_distances(points):
     """The distance of every pair i < j, one list per i, from blocks of rows."""
-    for start in range(0, points.shape[0] - 1, _SIGMA_BLOCK):
-        dist = cdist(points[start:start + _SIGMA_BLOCK], points[start + 1:], "euclidean")
+    n = points.shape[0]
+    for rows in _row_blocks(n - 1, n):
+        dist = cdist(points[rows], points[rows.start + 1:], "euclidean")
         for i, row in enumerate(dist):
             yield row[i:].tolist()
 

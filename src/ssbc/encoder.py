@@ -15,15 +15,15 @@ point processed. Ties sign(0) are broken to +1. Affinity rows are inserted
 unscaled: rescaling every row by a common factor changes neither the right
 singular vectors nor any projection sign.
 
-Training and batch encoding stream affinity rows in blocks of _ROW_BLOCK
-points, so they hold O(_ROW_BLOCK x m) of rows, never the m x m training
-affinity or the n x m test affinities. Every point is checked before the
-first insert, so a bad point leaves the sketch as it was. project_codes
-signs a frozen basis against a second pass over the same blocks. Its rows
-equal the dense rows bit for bit, but a block's product can differ from
-one dense product in the last bit where OpenBLAS takes its small-matrix
-kernel for a short block; a code bit can then differ only where a
-projection lies within rounding of zero.
+Training and batch encoding stream affinity rows in the blocks of
+affinity._row_blocks, so they hold one block of rows, never the m x m
+training affinity or the n x m test affinities. Every point is checked
+before the first insert, so a bad point leaves the sketch as it was.
+project_codes signs a frozen basis against a second pass over the same
+blocks. Its rows equal the dense rows bit for bit, but a block's product
+can differ from one dense product in the last bit where OpenBLAS takes
+its small-matrix kernel for a short block; a code bit can then differ
+only where a projection lies within rounding of zero.
 """
 
 import math
@@ -31,7 +31,7 @@ import warnings
 
 import numpy as np
 
-from .affinity import (_ROW_BLOCK, _as_points, _as_queries, affinity_matrix,
+from .affinity import (_as_points, _as_queries, _row_blocks, affinity_matrix,
                        affinity_vector)
 from .errors import ParameterError, check_int
 from .sketch import FdSketch
@@ -83,14 +83,14 @@ def sign_project(w, basis):
 
 
 def _affinity_blocks(points, train):
-    """Affinity rows of checked points, _ROW_BLOCK points at a time."""
-    for start in range(0, points.shape[0], _ROW_BLOCK):
-        yield start, affinity_matrix(points[start:start + _ROW_BLOCK], train)
+    """(slice, affinity rows) of checked points, one block at a time."""
+    for rows in _row_blocks(points.shape[0], train.m):
+        yield rows, affinity_matrix(points[rows], train)
 
 
 def _insert_points(sketch, points, train):
-    for _, rows in _affinity_blocks(points, train):
-        for row in rows:
+    for _, block in _affinity_blocks(points, train):
+        for row in block:
             sketch.insert(row)
 
 
@@ -98,8 +98,8 @@ def project_codes(points, train, basis):
     """Codes of points under a frozen basis, without inserting them: the
     signs of each point's affinity row projected on the basis columns."""
     codes = np.empty((points.shape[0], basis.shape[1]), dtype=np.int8)
-    for start, rows in _affinity_blocks(points, train):
-        codes[start:start + rows.shape[0]] = signs(rows @ basis)
+    for rows, block in _affinity_blocks(points, train):
+        codes[rows] = signs(block @ basis)
     return codes
 
 

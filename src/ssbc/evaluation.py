@@ -6,10 +6,9 @@ out of MAP entirely. Per-query values are single integer-ratio divisions
 and means use math.fsum, so results are reproducible bit for bit against
 a brute-force reimplementation of the same definitions.
 
-Ground truth and evaluation each make one pass over blocks of at most
-_ROW_BLOCK queries and at most _PAIR_BLOCK query x base pairs (26 queries
-against 10 000 points), so neither builds an n x n array and, up to 2**18
-base points, each block's temporaries stay near 2 MB:
+Ground truth and evaluation each make one pass over the query blocks of
+affinity._row_blocks, so neither builds an n x n array. When queries and
+base are equal arrays, query i's match to base i is dropped. Per block:
 
 * Hamming distances come from one float32 BLAS product per block (float64
   for codes longer than 2**23 bits). For +-1 codes of length k, q.b counts
@@ -41,11 +40,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError, NumericalError, ParameterError, check_int
-from .affinity import _ROW_BLOCK, _as_points, _self_affinity
+from .affinity import _as_points, _row_blocks, _self_affinity
 from .sketch import FdSketch
-
-# query x base pairs per evaluation block (see _block_rows): 2 MB of float64
-_PAIR_BLOCK = 1 << 18
 
 
 def _as_codes(codes, name="codes"):
@@ -66,24 +62,17 @@ def _code_pair(codes_query, codes_base):
     return q, b
 
 
-def _block_rows(n_b):
-    """Queries per evaluation block against n_b base points: at most
-    _ROW_BLOCK, and at most _PAIR_BLOCK pairs unless one query alone has more."""
-    return max(1, min(_ROW_BLOCK, _PAIR_BLOCK // n_b))
-
-
-def _hamming_block(q, b, start, exclude):
-    """Hamming distances from query rows start, start+1, ... (at most
-    _block_rows(len(b)) of them) to every base code; with exclude, query i's
-    distance to base i reads k + 1."""
+def _hamming_block(q, b, rows, exclude):
+    """Hamming distances from the query rows of the slice rows to every base
+    code; with exclude, query i's distance to base i reads k + 1."""
     k = q.shape[1]
-    prod = q[start:start + _block_rows(b.shape[0])] @ b.T
+    prod = q[rows] @ b.T
     np.subtract(k, prod, out=prod)
     prod *= 0.5
     ham = prod.astype(np.min_scalar_type(k + 1))
     if exclude:
-        own = np.arange(start, min(start + ham.shape[0], b.shape[0]))
-        ham[own - start, own] = k + 1
+        own = np.arange(ham.shape[0])
+        ham[own, rows.start + own] = k + 1
     return ham
 
 
@@ -96,18 +85,9 @@ def hamming_matrix(codes_query, codes_base):
     """
     q, b = _code_pair(codes_query, codes_base)
     ham = np.empty((q.shape[0], b.shape[0]), dtype=np.int32)
-    step = _block_rows(b.shape[0])
-    for start in range(0, q.shape[0], step):
-        ham[start:start + step] = _hamming_block(q, b, start, False)
+    for rows in _row_blocks(q.shape[0], b.shape[0]):
+        ham[rows] = _hamming_block(q, b, rows, False)
     return ham
-
-
-def _auto_exclude(a, b, exclude_self):
-    if exclude_self is None:
-        a = np.asarray(a)
-        b = np.asarray(b)
-        return a.shape == b.shape and np.array_equal(a, b)
-    return bool(exclude_self)
 
 
 class SimilarSets(Sequence):
@@ -144,16 +124,15 @@ class GroundTruth:
         self.threshold = threshold
 
 
-def ground_truth(queries, base, sigma, threshold=None, exclude_self=None):
+def ground_truth(queries, base, sigma, threshold=None):
     """Mark base points within the Euclidean threshold of each query as similar.
 
     The threshold defaults to sigma itself (the radius that defined the
-    bandwidth). Self-matches are dropped automatically when queries and base
-    are the identical array; pass exclude_self to force either behaviour
-    (positional: query i corresponds to base i). Each query's set is an
-    ascending array of base indices, a view into one flat array shared by all
-    queries; its type is int16 when the base has at most 32 768 points and
-    int32 (int64 past 2**31 points) otherwise.
+    bandwidth). When queries and base are equal arrays, query i's match to
+    base i is dropped. Each query's set is an ascending array of base
+    indices, a view into one flat array shared by all queries; its type is
+    int16 when the base has at most 32 768 points and int32 (int64 past
+    2**31 points) otherwise.
 
     The sets equal cdist(queries, base) <= threshold pair for pair. With
     t the threshold, d the dimension, S = |q|^2 + |b|^2 + t^2 and
@@ -162,8 +141,7 @@ def ground_truth(queries, base, sigma, threshold=None, exclude_self=None):
     cdist (the bounds are derived below). Only the band between them goes
     to cdist, in one call per query that has band pairs. Far from the
     origin, where the Gram form cancels most digits, every candidate is in
-    the band. Queries go in blocks of at most _ROW_BLOCK rows and
-    _PAIR_BLOCK pairs.
+    the band.
     """
     queries = _as_points(queries, "queries")
     base = _as_points(base, "base")
@@ -176,7 +154,7 @@ def ground_truth(queries, base, sigma, threshold=None, exclude_self=None):
     threshold = sigma if threshold is None else float(threshold)
     if not (threshold > 0):
         raise ParameterError("threshold must be positive, got %r" % threshold)
-    exclude = _auto_exclude(queries, base, exclude_self)
+    exclude = np.array_equal(queries, base)
     # Two Gram tests. |q - b| <= t exactly when q.b - |b|^2/2 >= (|q|^2 - t^2)/2.
     # Let u = eps/2, d be the dimension and S = |q|^2 + |b|^2 + t^2. A
     # length-d dot product, summed in any order, is within d u |x||y| of its
@@ -209,10 +187,9 @@ def ground_truth(queries, base, sigma, threshold=None, exclude_self=None):
     tol_b = tol * bb
     n_b = base.shape[0]
     index_type = np.promote_types(np.min_scalar_type(-n_b), np.int16)
-    step = _block_rows(n_b)
     flats, sizes = [], []
-    for start in range(0, queries.shape[0], step):
-        block = queries[start:start + step]
+    for part in _row_blocks(queries.shape[0], n_b):
+        block = queries[part]
         qq = np.einsum("ij,ij->i", block, block)
         gram = block @ base.T
         gram -= half_b
@@ -225,10 +202,10 @@ def ground_truth(queries, base, sigma, threshold=None, exclude_self=None):
         firsts = np.flatnonzero(np.diff(rows[band], prepend=-1)).tolist()
         for a, z in zip(firsts, firsts[1:] + [band.size]):
             pairs = band[a:z]
-            i = start + rows[pairs[0]]
+            i = part.start + rows[pairs[0]]
             keep[pairs] = cdist(queries[i:i + 1], base[cols[pairs]])[0] <= threshold
         if exclude:
-            keep &= cols != rows + start
+            keep &= cols != rows + part.start
         flats.append(cols[keep].astype(index_type))
         sizes.append(np.bincount(rows[keep], minlength=block.shape[0]))
     ends = np.zeros(queries.shape[0] + 1, dtype=np.int64)
@@ -236,7 +213,7 @@ def ground_truth(queries, base, sigma, threshold=None, exclude_self=None):
     return GroundTruth(SimilarSets(np.concatenate(flats), ends), threshold)
 
 
-def retrieve_hamming(codes_query, codes_base, r, exclude_self=None):
+def retrieve_hamming(codes_query, codes_base, r):
     """Indices of base codes within Hamming distance r of each query code.
 
     An oracle: it builds the full hamming_matrix by contract, so it holds
@@ -245,7 +222,7 @@ def retrieve_hamming(codes_query, codes_base, r, exclude_self=None):
     ham = hamming_matrix(codes_query, codes_base)
     k = np.asarray(codes_query).shape[1]
     r = check_int(r, "r", 0, k)
-    exclude = _auto_exclude(codes_query, codes_base, exclude_self)
+    exclude = np.array_equal(codes_query, codes_base)
     out = []
     for i in range(ham.shape[0]):
         idx = np.nonzero(ham[i] <= r)[0]
@@ -278,14 +255,14 @@ def precision_recall(returned, truth):
     return math.fsum(precisions) / n_q, math.fsum(recalls) / n_q
 
 
-def rank_by_hamming(codes_query, codes_base, exclude_self=None):
+def rank_by_hamming(codes_query, codes_base):
     """Full base ranking per query by ascending Hamming distance, ties by index.
 
     An oracle: it builds the full hamming_matrix and returns n_query
     rankings of the whole base by contract; evaluate_retrieval never calls it.
     """
     ham = hamming_matrix(codes_query, codes_base)
-    exclude = _auto_exclude(codes_query, codes_base, exclude_self)
+    exclude = np.array_equal(codes_query, codes_base)
     ranked = []
     for i, row in enumerate(ham):
         order = np.argsort(row, kind="stable")
@@ -317,14 +294,14 @@ def mean_average_precision(ranked_lists, truth):
     return math.fsum(aps) / len(aps) if aps else 1.0
 
 
-def pr_curve(codes_query, codes_base, truth, exclude_self=None):
+def pr_curve(codes_query, codes_base, truth):
     """(precision, recall) at every Hamming radius r = 0..k.
 
     Arithmetic matches precision_recall over retrieve_hamming at each r
     exactly; the curve comes from the one pass evaluate_retrieval makes,
     without materialising the index sets k+1 times.
     """
-    return _sweep(codes_query, codes_base, truth, exclude_self)[0]
+    return _sweep(codes_query, codes_base, truth)[0]
 
 
 def _block_aps(ham, rows, cols, exclude_from):
@@ -355,41 +332,45 @@ def _block_aps(ham, rows, cols, exclude_from):
             for a, m in zip(firsts.tolist(), found.tolist())]
 
 
-def _flat_sets(similar):
-    """similar as SimilarSets; a sequence of index arrays is flattened once."""
+def _flat_sets(similar, n_b):
+    """similar as SimilarSets. A caller's sequence of index arrays is checked
+    to be strictly ascending within [0, n_b), then flattened once."""
     if isinstance(similar, SimilarSets):
         return similar
     sets = [np.asarray(s, dtype=np.intp).reshape(-1) for s in similar]
+    for i, s in enumerate(sets):
+        if s.size and (s[0] < 0 or s[-1] >= n_b or np.any(s[1:] <= s[:-1])):
+            raise ParameterError("truth set of query %d is not strictly ascending "
+                                 "within [0, %d)" % (i, n_b))
     ends = np.zeros(len(sets) + 1, dtype=np.int64)
     np.cumsum([s.size for s in sets], out=ends[1:])
     return SimilarSets(np.concatenate(sets), ends)
 
 
-def _sweep(codes_query, codes_base, truth, exclude_self):
+def _sweep(codes_query, codes_base, truth):
     """(PR curve, MAP) in one pass over query blocks."""
     q, b = _code_pair(codes_query, codes_base)
     n_q, k = q.shape
     if len(truth) != n_q:
         raise ParameterError("truth covers %d queries, codes %d" % (len(truth), n_q))
-    truth = _flat_sets(truth)
-    exclude = _auto_exclude(codes_query, codes_base, exclude_self)
+    truth = _flat_sets(truth, b.shape[0])
+    exclude = np.array_equal(q, b)
     ret_at = np.empty((n_q, k + 1), dtype=np.int64)
     inter_at = np.empty((n_q, k + 1), dtype=np.int64)
     sizes = np.diff(truth.ends)
     aps = []
-    for start in range(0, n_q, _block_rows(b.shape[0])):
-        ham = _hamming_block(q, b, start, exclude)
+    for part in _row_blocks(n_q, b.shape[0]):
+        ham = _hamming_block(q, b, part, exclude)
         n_rows = ham.shape[0]
-        stop = start + n_rows
-        rows = np.repeat(np.arange(n_rows), sizes[start:stop])
-        cols = truth.flat[truth.ends[start]:truth.ends[stop]]
+        rows = np.repeat(np.arange(n_rows), sizes[part])
+        cols = truth.flat[truth.ends[part.start]:truth.ends[part.stop]]
         counts = [np.bincount(row, minlength=k + 2)[:k + 1] for row in ham]
-        ret_at[start:stop] = np.cumsum(counts, axis=1)
+        ret_at[part] = np.cumsum(counts, axis=1)
         cells = ham[rows, cols].astype(np.intp) + rows * (k + 2)
         counts = np.bincount(cells, minlength=n_rows * (k + 2)).reshape(n_rows, k + 2)
-        inter_at[start:stop] = np.cumsum(counts[:, :k + 1], axis=1)
+        inter_at[part] = np.cumsum(counts[:, :k + 1], axis=1)
         if rows.size:
-            aps += _block_aps(ham, rows, cols, start if exclude else None)
+            aps += _block_aps(ham, rows, cols, part.start if exclude else None)
     curve = []
     for r in range(k + 1):
         prec = np.where(ret_at[:, r] > 0,
@@ -425,7 +406,7 @@ class EvalReport:
 
 
 def evaluate_retrieval(method, codes_query, codes_base, truth, radius=None,
-                       params=None, exclude_self=None):
+                       params=None):
     """Run the whole metric suite for one set of codes against a ground truth.
 
     The headline precision/recall is read off the radius sweep at the given
@@ -436,7 +417,7 @@ def evaluate_retrieval(method, codes_query, codes_base, truth, radius=None,
     if radius is None:
         radius = k // 4
     radius = check_int(radius, "radius", 0, k)
-    curve, map_score = _sweep(codes_query, codes_base, truth.similar, exclude_self)
+    curve, map_score = _sweep(codes_query, codes_base, truth.similar)
     precision, recall = curve[radius]
     run_params = dict(params or {})
     run_params.setdefault("radius", radius)

@@ -26,26 +26,17 @@ def _open_write(path):
         raise DataError("cannot write %s: %s" % (path, exc)) from exc
 
 
-def to_builtin(obj):
-    """Recursively convert numpy scalars/arrays into plain Python values."""
-    if isinstance(obj, dict):
-        return {str(key): to_builtin(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_builtin(val) for val in obj]
-    if isinstance(obj, np.ndarray):
-        return [to_builtin(val) for val in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    return obj
+def _plain(obj):
+    """json's hook for what it cannot write: a numpy array or scalar becomes
+    its Python value."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError("%r is not JSON serializable" % (obj,))
 
 
 def write_json(path, payload):
     """Write a JSON document deterministically (sorted keys, trailing newline)."""
-    text = json.dumps(to_builtin(payload), sort_keys=True, indent=2)
+    text = json.dumps(payload, sort_keys=True, indent=2, default=_plain)
     with _open_write(path) as handle:
         handle.write(text + "\n")
 
@@ -72,8 +63,8 @@ def write_codes(path, codes, method, config=None, packed=False):
     with _open_write(path) as handle:
         handle.write("# ssbc-codes format=%d method=%s k=%d count=%d encoding=%s\n"
                      % (FORMAT_VERSION, method, k, count, encoding))
-        handle.write("# config %s\n" % json.dumps(to_builtin(config or {}),
-                                                  sort_keys=True))
+        handle.write("# config %s\n" % json.dumps(config or {}, sort_keys=True,
+                                                  default=_plain))
         for line in _codes_lines(codes, packed):
             handle.write(line + "\n")
 
@@ -159,8 +150,8 @@ def write_reports_csv(path, reports, config, failures=()):
         return repr(float(x))
 
     with _open_write(path) as handle:
-        handle.write("# config %s\n" % json.dumps(to_builtin(config or {}),
-                                                  sort_keys=True))
+        handle.write("# config %s\n" % json.dumps(config or {}, sort_keys=True,
+                                                  default=_plain))
         handle.write(CSV_HEADER + "\n")
         for rep in reports:
             radius = rep.params.get("radius", "")

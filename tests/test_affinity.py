@@ -7,6 +7,7 @@ from scipy.spatial.distance import cdist
 
 from ssbc import (DataError, ParameterError, TrainSet, affinity_matrix,
                   affinity_vector, estimate_sigma_all, estimate_sigma_nn)
+from ssbc.affinity import _PAIR_BLOCK, _ROW_BLOCK, _row_blocks
 
 
 def naive_dist(a, b):
@@ -195,7 +196,8 @@ def test_blocked_sigma_estimators_equal_the_dense_formulas():
 
 
 def test_sigma_estimators_hold_o_block_memory():
-    # one m x m float64 distance array would take m^2 * 8 bytes
+    # one m x m float64 distance array would take m^2 * 8 bytes (72 MB);
+    # a block holds at most _PAIR_BLOCK distances (2 MB), whatever m is
     m = 3000
     pts = np.random.default_rng(16).random((m, 10))
     for estimate in (lambda p: estimate_sigma_nn(p, 30), estimate_sigma_all):
@@ -206,4 +208,17 @@ def test_sigma_estimators_hold_o_block_memory():
         finally:
             tracemalloc.stop()
         assert sigma > 0
-        assert peak < m * m * 8 / 4, peak
+        assert peak < 6e6, peak
+
+
+@pytest.mark.parametrize("width", [1, 2048, 2049, 3000, _PAIR_BLOCK + 1])
+@pytest.mark.parametrize("n", [0, 1, 128, 129, 5000])
+def test_row_blocks_cover_the_rows_once_within_both_budgets(n, width):
+    blocks = _row_blocks(n, width)
+    assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))
+    sizes = [rows.stop - rows.start for rows in blocks]
+    assert all(0 < size <= _ROW_BLOCK for size in sizes)
+    if width <= _PAIR_BLOCK:
+        assert all(size * width <= _PAIR_BLOCK for size in sizes)
+    else:
+        assert sizes == [1] * n

@@ -10,6 +10,8 @@ from ssbc import (DataError, GuardError, ParameterError, column_norm_diagnostic,
                   hamming_matrix, lsh_train, lsh_encode_batch, mean_average_precision,
                   pr_curve, precision_recall, rank_by_hamming, retrieve_hamming,
                   spectral_norm, theory_spectral_check)
+from ssbc.affinity import _PAIR_BLOCK, _ROW_BLOCK, _row_blocks
+from ssbc.evaluation import GroundTruth
 from ssbc.data import synth_uniform
 
 BASE = np.array([[1, 1, 1], [1, 1, -1], [-1, -1, -1], [1, -1, -1]], dtype=np.int8)
@@ -45,7 +47,7 @@ def test_hamming_matrix_matches_xor_count_across_the_uint8_boundary(k):
     # the evaluation's small-int block marks an excluded self at k + 1,
     # which must not wrap around to 0 at k = 255
     block = evaluation._hamming_block(codes.astype(np.float64),
-                                      codes.astype(np.float64), 0, True)
+                                      codes.astype(np.float64), slice(0, 7), True)
     np.fill_diagonal(want, k + 1)
     assert np.array_equal(block, want)
     truth = [np.arange(7)] * 7
@@ -74,10 +76,11 @@ def test_ground_truth_self_exclusion_modes():
     base = np.array([[0.0], [1.0], [2.0], [10.0]])
     truth = ground_truth(base, base, sigma=1.5)
     assert [list(s) for s in truth.similar] == [[1], [0, 2], [1], []]
-    kept = ground_truth(base, base, sigma=1.5, exclude_self=False)
-    assert [list(s) for s in kept.similar] == [[0, 1], [0, 1, 2], [1, 2], [3]]
-    forced = ground_truth(base[:2], base, sigma=1.5, exclude_self=True)
-    assert [list(s) for s in forced.similar] == [[1], [0, 2]]
+    # equal arrays, not only the same object, drop query i's match to base i
+    equal = ground_truth(base, base.copy(), sigma=1.5)
+    assert [list(s) for s in equal.similar] == [[1], [0, 2], [1], []]
+    kept = ground_truth(base[:2], base, sigma=1.5)
+    assert [list(s) for s in kept.similar] == [[0, 1], [0, 1, 2]]
 
 
 def test_ground_truth_threshold_override_and_validation():
@@ -119,15 +122,10 @@ def test_ground_truth_equals_cdist_on_hard_inputs(shift):
     for t in (ordered[ordered.size // 20], ordered[ordered.size // 4]):
         assert_same_sets(ground_truth(pts, pts, sigma=t),
                          cdist_sets(pts, pts, t, True))
-        for exclude in (True, False):
-            assert_same_sets(ground_truth(pts, pts, 1.0, threshold=t,
-                                          exclude_self=exclude),
-                             cdist_sets(pts, pts, t, exclude))
+        assert_same_sets(ground_truth(pts, pts, 1.0, threshold=t),
+                         cdist_sets(pts, pts, t, True))
         assert_same_sets(ground_truth(queries, pts, 1.0, threshold=t),
                          cdist_sets(queries, pts, t, False))
-        assert_same_sets(ground_truth(queries, pts, 1.0, threshold=t,
-                                      exclude_self=True),
-                         cdist_sets(queries, pts, t, True))
 
 
 @pytest.mark.parametrize("shift", [0.0, 1e6])
@@ -189,8 +187,10 @@ def test_retrieve_hamming_hand_example():
 def test_retrieve_hamming_excludes_self_for_identical_stacks():
     got = retrieve_hamming(BASE, BASE, 0)
     assert [list(s) for s in got] == [[], [], [], []]
-    kept = retrieve_hamming(BASE, BASE, 0, exclude_self=False)
-    assert [list(s) for s in kept] == [[0], [1], [2], [3]]
+    got = retrieve_hamming(BASE, BASE.astype(np.float64), 0)
+    assert [list(s) for s in got] == [[], [], [], []]
+    kept = retrieve_hamming(BASE[:2], BASE, 0)
+    assert [list(s) for s in kept] == [[0], [1]]
 
 
 def test_precision_recall_hand_example():
@@ -342,25 +342,23 @@ def test_evaluate_retrieval_computes_each_distance_once(monkeypatch, same):
     blocks = []
     block = evaluation._hamming_block
 
-    def record(q, b, start, exclude):
-        ham = block(q, b, start, exclude)
-        blocks.append((start, ham.shape))
+    def record(q, b, rows, exclude):
+        ham = block(q, b, rows, exclude)
+        blocks.append((rows, ham.shape))
         return ham
 
     monkeypatch.setattr(evaluation, "_hamming_block", record)
     report = evaluate_retrieval("lsh", cq, cb, truth)
     monkeypatch.undo()
-    # consecutive blocks of _block_rows(n_b) rows, at most _PAIR_BLOCK
-    # pairs each, cover every query once, each against the whole base
-    step = evaluation._block_rows(len(cb))
-    assert step < evaluation._ROW_BLOCK and step * len(cb) <= evaluation._PAIR_BLOCK
-    starts = [start for start, _ in blocks]
-    rows = [shape[0] for _, shape in blocks]
+    # the blocks of _row_blocks, fewer than _ROW_BLOCK rows and at most
+    # _PAIR_BLOCK pairs each, cover every query once, each against the
+    # whole base
+    want = _row_blocks(len(cq), len(cb))
+    step = want[0].stop
+    assert step < _ROW_BLOCK and step * len(cb) <= _PAIR_BLOCK
     assert len(blocks) > 1
-    assert starts == list(range(0, len(cq), step))
-    assert sum(rows) == len(cq)
-    assert all(r == step for r in rows[:-1]) and 0 < rows[-1] <= step
-    assert all(shape[1] == len(cb) for _, shape in blocks)
+    assert [rows for rows, _ in blocks] == want
+    assert [shape for _, shape in blocks] == [(s.stop - s.start, len(cb)) for s in want]
     assert report.pr_curve == pr_curve(cq, cb, truth.similar)
     assert report.map == mean_average_precision(rank_by_hamming(cq, cb),
                                                 truth.similar)
@@ -426,6 +424,22 @@ def test_evaluate_retrieval_peak_does_not_grow_with_the_base():
     assert peak < 8e6, peak
 
 
+def test_caller_truth_sets_must_be_strictly_ascending_within_the_base():
+    # a repeat was counted twice (precision 1.5 at radius 1), -1 read base 2
+    # (precision 0.5, MAP 0.5 where the oracles give 0) and 3 raised IndexError
+    query = np.array([[1, 1, 1, 1]] * 2)
+    base = np.array([[1, 1, 1, 1], [-1, -1, -1, -1], [1, 1, 1, -1]])
+    for bad in ([0, 0, 2], [-1], [3], [2, 0]):
+        truth = [[0, 2], bad]
+        with pytest.raises(ParameterError, match="query 1 "):
+            pr_curve(query, base, truth)
+        with pytest.raises(ParameterError, match="query 1 "):
+            evaluate_retrieval("m", query, base, GroundTruth(truth, 1.0))
+    truth = [[0, 2], []]
+    assert pr_curve(query, base, truth)[1] == precision_recall(
+        retrieve_hamming(query, base, 1), truth)
+
+
 def test_evaluate_retrieval_default_radius_and_validation():
     pts = synth_uniform(20, 5, 7).points
     model = lsh_train(5, 9, 4)
@@ -435,7 +449,7 @@ def test_evaluate_retrieval_default_radius_and_validation():
     assert report.params["radius"] == 2  # floor(9 / 4)
     with pytest.raises(ParameterError):
         evaluate_retrieval("lsh", codes, codes, truth, radius=10)
-    short = ground_truth(pts[:5], pts, sigma=0.4, exclude_self=True)
+    short = ground_truth(pts[:5], pts, sigma=0.4)
     with pytest.raises(ParameterError):
         evaluate_retrieval("lsh", codes, codes, short)
 
@@ -537,7 +551,7 @@ def test_evaluation_peak_memory_stays_below_half_the_dense_footprint():
 
 
 def test_evaluate_retrieval_alone_stays_well_below_the_dense_hamming_matrix():
-    # evaluation holds O(_block_rows(n) * n) at once, a share of the n x n
+    # evaluation holds O(_PAIR_BLOCK) at once, a share of the n x n
     # int32 Hamming matrix that falls as n grows
     n = 3000
     pts = synth_uniform(n, 5, 11).points

@@ -55,22 +55,21 @@ def retrieval_cases(draw):
     n_b = len(codes_b)
     truth = [np.array(sorted(draw(st.sets(st.integers(0, n_b - 1)))), dtype=np.int64)
              for _ in range(n_q)]
-    exclude = draw(st.sampled_from([None, True, False]))
-    return codes_q, codes_b, truth, exclude
+    return codes_q, codes_b, truth
 
 
 @settings(max_examples=300, deadline=None)
 @given(retrieval_cases())
 def test_pr_curve_and_evaluation_match_the_per_radius_oracle(case):
-    codes_q, codes_b, truth, exclude = case
+    codes_q, codes_b, truth = case
     k = codes_q.shape[1]
-    curve = pr_curve(codes_q, codes_b, truth, exclude)
+    curve = pr_curve(codes_q, codes_b, truth)
     assert len(curve) == k + 1
     for r in range(k + 1):
-        returned = retrieve_hamming(codes_q, codes_b, r, exclude)
+        returned = retrieve_hamming(codes_q, codes_b, r)
         assert curve[r] == precision_recall(returned, truth)
-    ranked = rank_by_hamming(codes_q, codes_b, exclude)
+    ranked = rank_by_hamming(codes_q, codes_b)
     gt = GroundTruth(truth, 1.0)
-    report = evaluate_retrieval("drawn", codes_q, codes_b, gt, exclude_self=exclude)
+    report = evaluate_retrieval("drawn", codes_q, codes_b, gt)
     assert report.pr_curve == curve
     assert report.map == mean_average_precision(ranked, truth)

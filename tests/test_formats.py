@@ -5,7 +5,7 @@ import pytest
 
 from ssbc import DataError, ParameterError
 from ssbc.formats import (CSV_HEADER, FORMAT_VERSION, dataset_meta,
-                          read_codes, report_payload, to_builtin, write_codes,
+                          read_codes, report_payload, write_codes,
                           write_json, write_reports_csv)
 from ssbc.data import synth_uniform
 from ssbc.evaluation import EvalReport
@@ -13,17 +13,22 @@ from ssbc.evaluation import EvalReport
 CODES = np.array([[1, 1, -1, 1], [-1, -1, -1, -1], [1, -1, 1, 1]], dtype=np.int8)
 
 
-def test_to_builtin():
-    out = to_builtin({
+def test_write_json_writes_numpy_values_as_python_values(tmp_path):
+    path = tmp_path / "a.json"
+    write_json(path, {
         "a": np.int64(3),
         "b": np.float64(0.5),
         "c": np.array([1, 2]),
         "d": (np.bool_(True), [np.float32(1.0)]),
+        "e": np.array(1.5),
     })
-    assert out == {"a": 3, "b": 0.5, "c": [1, 2], "d": [True, [1.0]]}
+    out = json.loads(path.read_text())
+    assert out == {"a": 3, "b": 0.5, "c": [1, 2], "d": [True, [1.0]], "e": 1.5}
     assert type(out["a"]) is int
     assert type(out["b"]) is float
     assert type(out["d"][0]) is bool
+    with pytest.raises(TypeError):
+        write_json(path, {"f": object()})
 
 
 def test_write_json_deterministic_and_sorted(tmp_path):

@@ -35,7 +35,13 @@ sigma_nn30 on the training points.
 * far: the truth of the seed-1000 test points shifted by 1e6 in every
   coordinate, where the Gram form cancels most digits and every candidate
   pair goes to cdist, and the report of the unshifted points' LSH codes
-  (k=32) against it.
+  (k=32) against it;
+* wide: synth_uniform(6000, 10, 21), the first 3000 points training at
+  sigma_nn30 and k = 5 and the other 3000 encoded by ssbc_encode_batch, a
+  shape where blocks of affinity and distance rows are held to 2**18
+  pairs: the sha256 of the codes and of the final buffer, and
+  estimate_sigma_nn (t = 30) and estimate_sigma_all of the training
+  points as hex floats.
 
 A ground truth's digest hashes its sets as int64, so it does not depend
 on the integer type that holds them.
@@ -152,6 +158,13 @@ def main():
     report = evaluate_retrieval("lsh", codes, codes, truth)
     print("far seed=1000 shift=1e6 k=32 truth=%s report=%s"
           % (_truth_sha(truth), _report_sha(report)), flush=True)
+    pts = synth_uniform(6000, 10, 21).points
+    train = TrainSet(pts[:3000], estimate_sigma_nn(pts[:3000], 30))
+    model = ssbc_train(train, SsbcParams(5, 0.5))
+    codes = ssbc_encode_batch(model, pts[3000:])
+    print("wide m=3000 n=3000 k=5 codes=%s buffer=%s nn30=%s all=%s"
+          % (_sha(codes), _sha(model.sketch.buffer), train.sigma.hex(),
+             estimate_sigma_all(train.points).hex()), flush=True)
 
 
 if __name__ == "__main__":
