@@ -13,7 +13,6 @@ environment variable sets the default output directory.
 """
 
 import argparse
-import functools
 import itertools
 import os
 import sys
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import baselines, data, encoder, evaluation, formats
 from .affinity import TrainSet, estimate_sigma_all, estimate_sigma_nn
-from .errors import DataError, GuardError, NumericalError, ParameterError, check_int
+from .errors import DataError, GuardError, ParameterError, SsbcError, check_int
 
 METHODS = ("ssbc_online", "ssbc_streaming", "lsh", "exact_d", "exact_r")
 SIGMA_MODES = ("nn30", "all", "nn30_div4", "fixed")
@@ -234,30 +233,33 @@ def _prepared_split(args):
 
 
 def _encode(args, train_set, test_points, include_train):
-    """Codes for the test points, and for the training points if asked (else None)."""
+    """Codes for the test points, and for the training points if asked (else None).
+
+    The exact methods code only the points they decompose, so they have no
+    training codes; cmd_run refuses include_train for them.
+    """
     k = args.k
     if args.method == "lsh":
         model = baselines.lsh_train(test_points.shape[1], k, args.seed)
-        encode = functools.partial(baselines.lsh_encode_batch, model)
-    elif args.method in ("exact_d", "exact_r"):
-        mode = "deterministic" if args.method == "exact_d" else "randomized"
-
-        def encode(points):
-            return baselines.exact_codes(points, k, train_set.sigma, mode=mode,
-                                         seed=args.seed, guard=args.exact_guard).codes
-    else:
-        model = encoder.ssbc_train(train_set, encoder.SsbcParams(k, args.epsilon))
-        if args.method == "ssbc_streaming":
-            test_codes = encoder.ssbc_encode_batch(model, test_points)
-        else:
-            test_codes = np.stack([encoder.ssbc_process_online(model, p)
-                                   for p in test_points])
         train_codes = None
         if include_train:
-            train_codes = encoder.project_codes(train_set.points, train_set,
-                                                model.sketch.basis(k))
-        return test_codes, train_codes
-    return encode(test_points), encode(train_set.points) if include_train else None
+            train_codes = baselines.lsh_encode_batch(model, train_set.points)
+        return baselines.lsh_encode_batch(model, test_points), train_codes
+    if args.method in ("exact_d", "exact_r"):
+        mode = "deterministic" if args.method == "exact_d" else "randomized"
+        return baselines.exact_codes(test_points, k, train_set.sigma, mode=mode,
+                                     seed=args.seed, guard=args.exact_guard).codes, None
+    model = encoder.ssbc_train(train_set, encoder.SsbcParams(k, args.epsilon))
+    if args.method == "ssbc_streaming":
+        test_codes = encoder.ssbc_encode_batch(model, test_points)
+    else:
+        test_codes = np.stack([encoder.ssbc_process_online(model, p)
+                               for p in test_points])
+    train_codes = None
+    if include_train:
+        train_codes = encoder.project_codes(train_set.points, train_set,
+                                            model.sketch.basis(k))
+    return test_codes, train_codes
 
 
 def _ground_truth(args, test_ds, sigma, timings):
@@ -324,6 +326,9 @@ def cmd_synth(args):
 
 
 def cmd_run(args):
+    if args.include_train and args.method in ("exact_d", "exact_r"):
+        raise ParameterError("--include-train does not apply to %s: it codes only "
+                             "the points it decomposes" % args.method)
     timings = {}
     t0 = time.perf_counter()
     train_ds, test_ds, sigma = _prepared_split(args)
@@ -366,7 +371,7 @@ def cmd_sweep(args):
                 truth = _ground_truth(cell, test_ds, sigma, timings)
             reports.append(_run_once(cell, train_ds, test_ds, sigma, truth,
                                      timings)[0])
-        except (ParameterError, DataError, NumericalError, GuardError) as exc:
+        except SsbcError as exc:
             failures.append((method, k, type(exc).__name__))
             sys.stderr.write("sweep aborted at %s k=%d: %s\n" % (method, k, exc))
             exit_code = _exit_code_for(exc)
@@ -422,7 +427,7 @@ def main(argv=None):
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ParameterError, DataError, NumericalError, GuardError) as exc:
+    except SsbcError as exc:
         sys.stderr.write("ssbc: %s: %s\n" % (type(exc).__name__, exc))
         return _exit_code_for(exc)
 

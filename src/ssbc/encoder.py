@@ -131,7 +131,7 @@ def ssbc_encode_batch(model, points):
     if model.sketch.rows_seen < 1:
         raise ParameterError("model sketch has seen no rows; train it first")
     points = np.asarray(points, dtype=np.float64)
-    if points.size == 0:
+    if points.ndim and len(points) == 0:
         return np.zeros((0, model.params.k), dtype=np.int8)
     points = _as_queries(points, model.train)
     _insert_points(model.sketch, points, model.train)

@@ -139,9 +139,9 @@ def ground_truth(queries, base, sigma, threshold=None):
     tol = 2(d + 3) eps, a pair whose Gram form |q|^2 + |b|^2 - 2 q.b exceeds
     t^2 + tol S is dropped and one at most t^2 - tol S is kept, both without
     cdist (the bounds are derived below). Only the band between them goes
-    to cdist, in one call per query that has band pairs. Far from the
-    origin, where the Gram form cancels most digits, every candidate is in
-    the band.
+    to cdist, in one call per block of queries that has band pairs, against
+    the base points the band touches. Far from the origin, where the Gram
+    form cancels most digits, every candidate is in the band.
     """
     queries = _as_points(queries, "queries")
     base = _as_points(base, "base")
@@ -199,11 +199,9 @@ def ground_truth(queries, base, sigma, threshold=None):
         keep = gram.ravel()[near] >= sure[rows] + tol_b[cols]
         del gram
         band = np.flatnonzero(~keep)
-        firsts = np.flatnonzero(np.diff(rows[band], prepend=-1)).tolist()
-        for a, z in zip(firsts, firsts[1:] + [band.size]):
-            pairs = band[a:z]
-            i = part.start + rows[pairs[0]]
-            keep[pairs] = cdist(queries[i:i + 1], base[cols[pairs]])[0] <= threshold
+        if band.size:
+            hit, hit_col = np.unique(cols[band], return_inverse=True)
+            keep[band] = cdist(block, base[hit])[rows[band], hit_col] <= threshold
         if exclude:
             keep &= cols != rows + part.start
         flats.append(cols[keep].astype(index_type))
@@ -413,11 +411,11 @@ def evaluate_retrieval(method, codes_query, codes_base, truth, radius=None,
     radius (default floor(k/4)). One pass over query blocks gathers the PR
     counts and every query's average precision; no ranking is kept.
     """
-    k = int(np.asarray(codes_query).shape[1])
+    curve, map_score = _sweep(codes_query, codes_base, truth.similar)
+    k = len(curve) - 1
     if radius is None:
         radius = k // 4
     radius = check_int(radius, "radius", 0, k)
-    curve, map_score = _sweep(codes_query, codes_base, truth.similar)
     precision, recall = curve[radius]
     run_params = dict(params or {})
     run_params.setdefault("radius", radius)
@@ -435,10 +433,7 @@ def spectral_norm(mat):
         raise ParameterError("expected a matrix, got ndim=%d" % mat.ndim)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(mat.shape[1])
-    nx = np.linalg.norm(x)
-    if nx == 0:
-        return 0.0
-    x /= nx
+    x /= np.linalg.norm(x)
     last = 0.0
     est = 0.0
     for _ in range(1000):

@@ -7,7 +7,8 @@ from scipy.spatial.distance import cdist
 
 from ssbc import (DataError, ParameterError, TrainSet, affinity_matrix,
                   affinity_vector, estimate_sigma_all, estimate_sigma_nn)
-from ssbc.affinity import _PAIR_BLOCK, _ROW_BLOCK, _row_blocks
+from ssbc.affinity import _PAIR_BLOCK, _ROW_BLOCK, _row_blocks, _self_affinity
+from ssbc.data import synth_uniform
 
 
 def naive_dist(a, b):
@@ -222,3 +223,12 @@ def test_row_blocks_cover_the_rows_once_within_both_budgets(n, width):
         assert all(size * width <= _PAIR_BLOCK for size in sizes)
     else:
         assert sizes == [1] * n
+
+
+def test_self_affinity_is_exactly_symmetric_with_a_unit_diagonal():
+    # exact_codes hands this matrix to eigh unchecked: cdist computes (i, j)
+    # and (j, i) from the same squared differences, and exp(-0) is 1
+    pts = synth_uniform(300, 50, 0).points
+    w = _self_affinity(pts, estimate_sigma_nn(pts, 30), 5000)
+    assert np.array_equal(w, w.T)
+    assert np.all(np.diag(w) == 1.0)

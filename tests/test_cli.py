@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import ssbc
-from ssbc import evaluation, lsh_encode_batch, lsh_train
+from ssbc import (estimate_sigma_all, estimate_sigma_nn, evaluation, lsh_encode_batch,
+                  lsh_train)
 from ssbc.cli import main
-from ssbc.data import load_csv, synth_uniform
+from ssbc.data import load_csv, synth_uniform, zscore
 from ssbc.formats import read_codes
 
 
@@ -92,6 +93,45 @@ def test_run_include_train_and_packed(tmp_path):
     assert train_codes.shape == (40, 6)
 
 
+def test_run_refuses_include_train_for_the_exact_methods(tmp_path, capsys):
+    # an exact method codes only the points it decomposes, so it has no
+    # code for a training point that is not also a test point
+    for method in ("exact_d", "exact_r"):
+        assert main(run_args(tmp_path, method, "--method", method,
+                             "--include-train")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ssbc: ParameterError: ") and method in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _split_points(n, dim, seed, train, test, transform=lambda ds: ds):
+    """The train and test points of a run on --uniform n --dim dim --seed seed."""
+    points = transform(synth_uniform(n, dim, seed)).points
+    perm = np.random.default_rng(seed).permutation(n)
+    return points[perm[:train]], points[perm[train:train + test]]
+
+
+def test_run_zscore_codes_the_z_scored_split(tmp_path):
+    assert main(run_args(tmp_path, "z", "--method", "lsh", "--zscore")) == 0
+    codes, meta = read_codes(tmp_path / "z.codes")
+    assert meta["config"]["zscore"] is True
+    model = lsh_train(6, 6, 3)
+    _, test_pts = _split_points(80, 6, 3, 40, 40, zscore)
+    assert np.array_equal(codes, lsh_encode_batch(model, test_pts))
+    _, raw = _split_points(80, 6, 3, 40, 40)
+    assert not np.array_equal(codes, lsh_encode_batch(model, raw))
+
+
+@pytest.mark.parametrize("mode", ["all", "nn30_div4"])
+def test_run_resolves_sigma_as_its_mode_asks(tmp_path, mode):
+    assert main(run_args(tmp_path, mode, "--method", "lsh", "--sigma-mode", mode)) == 0
+    _, meta = read_codes(tmp_path / (mode + ".codes"))
+    train, _ = _split_points(80, 6, 3, 40, 40)
+    want = (estimate_sigma_all(train) if mode == "all"
+            else estimate_sigma_nn(train, 30) / 4.0)
+    assert meta["config"]["resolved_sigma"] == want
+
+
 def test_run_radius_and_threshold_options(tmp_path):
     assert main(run_args(tmp_path, "r2", "--radius", "2",
                          "--truth-threshold", "0.25")) == 0
@@ -127,6 +167,24 @@ def test_run_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(zero) == 3
     assert capsys.readouterr().err.startswith("ssbc: NumericalError: ")
+
+
+def test_run_data_problems_exit_two_with_a_message(tmp_path, capsys):
+    same = tmp_path / "same.csv"
+    same.write_text("1,2,3\n" * 12)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    for argv, message in (
+            (["run", "--data", str(same), "--train", "4", "--test", "4", "--k", "2",
+              "--method", "lsh", "--sigma-mode", "all",
+              "--out-prefix", str(tmp_path / "same")], "estimated sigma is 0.0"),
+            (run_args(tmp_path, "one", "--test", "1"), "split left"),
+            (run_args(tmp_path, "blocker/r", "--method", "lsh"),
+             "cannot create output directory")):
+        assert main(argv) == 2, message
+        err = capsys.readouterr().err
+        assert err.startswith("ssbc: DataError: ") and message in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "same.csv"]
 
 
 def test_out_dir_env_default(tmp_path, monkeypatch):
@@ -187,6 +245,15 @@ def test_sweep_aborts_on_failure_but_keeps_partial_results(tmp_path, capsys):
 def test_sweep_rejects_unknown_method(tmp_path):
     assert main(["sweep", "--uniform", "80", "--methods", "lsh,nope",
                  "--out-prefix", str(tmp_path / "x")]) == 1
+
+
+def test_sweep_rejects_a_bad_k_list(tmp_path, capsys):
+    for value, message in (("4,x", "expected comma-separated integers"),
+                           (",", "expected at least one integer")):
+        assert main(["sweep", "--uniform", "80", "--k-list", value,
+                     "--out-prefix", str(tmp_path / "x")]) == 1
+        assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_theory_check_outputs_and_determinism(tmp_path):

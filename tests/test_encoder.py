@@ -134,6 +134,14 @@ def test_encode_batch_empty():
     assert out.dtype == np.int8
 
 
+def test_encode_batch_rejects_points_of_width_zero():
+    # five points of width 0 are five bad points, not an empty batch
+    ds, train = small_train()
+    model = ssbc_train(train, SsbcParams(3, 0.5))
+    with pytest.raises(ParameterError, match="non-empty 2-d"):
+        ssbc_encode_batch(model, np.zeros((5, 0)))
+
+
 def test_batch_codes_match_exact_up_to_column_flips():
     # train on the whole set with ell >= 2m, re-encode the training set:
     # the single tall-buffer shrink is lossless and the final basis spans

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -390,7 +391,7 @@ def test_ground_truth_settles_the_criterion_5_split_without_cdist(monkeypatch):
 
 def test_ground_truth_sends_every_candidate_of_a_far_split_to_cdist(monkeypatch):
     # shifted by 1e6, |q|^2 + |b|^2 - 2 q.b cancels almost every digit: no
-    # pair is sure, every candidate is in the band, one cdist call per query
+    # pair is sure, every candidate is in the band, one cdist call per block
     sigma, test = _criterion_5_split(1000)
     test = test[:300] + 1e6
     seen = []
@@ -403,7 +404,7 @@ def test_ground_truth_sends_every_candidate_of_a_far_split_to_cdist(monkeypatch)
     monkeypatch.setattr(evaluation, "cdist", record)
     truth = ground_truth(test, test, sigma)
     monkeypatch.undo()
-    assert seen == [1] * len(test)
+    assert seen == [128, 128, 44]
     assert_same_sets(truth, cdist_sets(test, test, sigma, True))
 
 
@@ -454,6 +455,14 @@ def test_evaluate_retrieval_default_radius_and_validation():
         evaluate_retrieval("lsh", codes, codes, short)
 
 
+def test_evaluate_retrieval_rejects_one_dimensional_codes():
+    # the codes check refuses 1-d codes before anything reads k off their shape
+    pts = synth_uniform(5, 3, 7).points
+    truth = ground_truth(pts, pts, sigma=0.4)
+    with pytest.raises(ParameterError, match="2-d"):
+        evaluate_retrieval("lsh", np.ones(5), np.ones(5), truth)
+
+
 def test_spectral_norm_diagonal_and_rectangular():
     assert abs(spectral_norm(np.diag([3.0, 2.0, 1.0])) - 3.0) < 1e-8
     rng = np.random.default_rng(31)
@@ -461,6 +470,9 @@ def test_spectral_norm_diagonal_and_rectangular():
     want = np.linalg.norm(mat, 2)
     assert abs(spectral_norm(mat) - want) < 1e-7 * want
     assert spectral_norm(np.zeros((4, 4))) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spectral_norm(np.zeros((4, 0))) == 0.0
     with pytest.raises(ParameterError):
         spectral_norm(np.zeros(3))
 

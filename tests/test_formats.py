@@ -122,6 +122,10 @@ def test_read_codes_error_paths(tmp_path):
                     "# config {}\n++\n")
     with pytest.raises(DataError):
         read_codes(path)  # unknown encoding
+    path.write_text("# ssbc-codes format=1 method=m k=x count=1 encoding=signs\n"
+                    "# config {}\n++\n")
+    with pytest.raises(DataError, match="malformed header"):
+        read_codes(path)
     with pytest.raises(DataError):
         read_codes(tmp_path / "missing")
 

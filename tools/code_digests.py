@@ -20,9 +20,10 @@ sigma_nn30 on the training points.
   points, seed 1000), with the truth and report digests;
 * sigma: per seed 1000-1004, estimate_sigma_nn (t = 30) and
   estimate_sigma_all of the training points, as hex floats;
-* include-train: `ssbc run --include-train` codes at seed 1000 and k = 30
-  for ssbc_streaming and ssbc_online, computed by cli._encode: the sha256
-  of the test codes and of the training points' codes;
+* include-train: `ssbc run --include-train` codes at seed 1000, k = 30
+  for ssbc_streaming and ssbc_online and k = 32 for lsh, computed by
+  cli._encode: the sha256 of the test codes and of the training points'
+  codes;
 * theory: `theory_spectral_check` (m = 100, ell = 20) at seeds 0-2 and
   exhaustive, then `column_norm_diagnostic`, on synth_uniform(500, 50, 0)
   with sigma_nn30, as hex floats;
@@ -124,12 +125,12 @@ def main():
               % (seed, estimate_sigma_nn(train.points, 30).hex(),
                  estimate_sigma_all(train.points).hex()), flush=True)
     train, test = _split(1000)
-    for method in ("ssbc_streaming", "ssbc_online"):
-        args = argparse.Namespace(method=method, k=30, epsilon=0.5, seed=1000,
+    for method, k in (("ssbc_streaming", 30), ("ssbc_online", 30), ("lsh", 32)):
+        args = argparse.Namespace(method=method, k=k, epsilon=0.5, seed=1000,
                                   exact_guard=5000)
         test_codes, train_codes = cli._encode(args, train, test, True)
-        print("include-train seed=1000 k=30 method=%s test=%s train=%s"
-              % (method, _sha(test_codes), _sha(train_codes)), flush=True)
+        print("include-train seed=1000 k=%d method=%s test=%s train=%s"
+              % (k, method, _sha(test_codes), _sha(train_codes)), flush=True)
     pts = synth_uniform(500, 50, 0).points
     sigma = estimate_sigma_nn(pts, 30)
     runs = [theory_spectral_check(pts, 100, 20, seed, sigma) for seed in range(3)]
