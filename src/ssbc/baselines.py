@@ -3,16 +3,19 @@
 LSH is data independent: bit j of a point is the sign of its dot product
 with the j-th column of a fixed Gaussian matrix (no centering, no bias).
 The exact methods build the full Gaussian affinity matrix W of the point
-set, eigendecompose it, and sign the top-k eigenvectors, either directly
+set, solve for its top-k eigenvectors only, anchor their signs by the rule
+of FdSketch.basis (sketch._anchored), and sign them, either directly
 (exact_d) or after a Haar-random k x k rotation of the code space
 (exact_r). Both exist to give the sketch-based encoder something to beat.
 """
 
 import numpy as np
+import scipy.linalg
 
 from .encoder import signs
-from .errors import NumericalError, ParameterError, check_int
+from .errors import DataError, NumericalError, ParameterError, check_int
 from .affinity import _as_points, _self_affinity
+from .sketch import _anchored
 
 
 class LshModel:
@@ -32,12 +35,18 @@ def lsh_train(d, k, seed):
 
 def lsh_encode_batch(model, points):
     """Codes for a stack of points, one row per point: the sign of each
-    point's dot product with each projection column."""
+    point's dot product with each projection column. A point holding inf
+    or NaN raises DataError; it makes each of its products non-finite, so
+    only the first column is checked."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != model.projections.shape[0]:
         raise ParameterError("points have shape %r, expected (*, %d)"
                              % (points.shape, model.projections.shape[0]))
-    return signs(points @ model.projections)
+    with np.errstate(invalid="ignore", over="ignore"):
+        dots = points @ model.projections
+    if not np.all(np.isfinite(dots[:, 0])):
+        raise DataError("points give non-finite projections")
+    return signs(dots)
 
 
 def haar_rotation(k, seed):
@@ -60,7 +69,7 @@ class ExactCodes:
 def exact_codes(points, k, sigma, mode="deterministic", seed=0, guard=5000):
     """Sign the top-k eigenvectors of the full affinity matrix.
 
-    mode "deterministic" signs U_k directly; "randomized" signs
+    mode "deterministic" signs the anchored U_k directly; "randomized" signs
     U_k @ haar_rotation(k, seed). Dense n x n work, refused above the
     guard size.
     """
@@ -73,11 +82,10 @@ def exact_codes(points, k, sigma, mode="deterministic", seed=0, guard=5000):
         raise ParameterError("need n >= k, got n=%d, k=%d" % (n, k))
     w = _self_affinity(points, sigma, guard)
     try:
-        vals, vecs = np.linalg.eigh(w)
+        vals, vecs = scipy.linalg.eigh(w, subset_by_index=[n - k, n - 1])
     except np.linalg.LinAlgError as exc:
         raise NumericalError("eigendecomposition failed: %s" % exc) from exc
-    top = vals[::-1][:k]
-    u_k = vecs[:, ::-1][:, :k]
+    u_k = _anchored(vecs[:, ::-1])
     if mode == "randomized":
         u_k = u_k @ haar_rotation(k, seed)
-    return ExactCodes(signs(u_k), top)
+    return ExactCodes(signs(u_k), vals[::-1])

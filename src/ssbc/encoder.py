@@ -132,6 +132,9 @@ def ssbc_encode_batch(model, points):
         raise ParameterError("model sketch has seen no rows; train it first")
     points = np.asarray(points, dtype=np.float64)
     if points.ndim and len(points) == 0:
+        if points.ndim == 2 and points.shape[1] != model.train.d:
+            raise ParameterError("queries have dimension %d, train set has %d"
+                                 % (points.shape[1], model.train.d))
         return np.zeros((0, model.params.k), dtype=np.int8)
     points = _as_queries(points, model.train)
     _insert_points(model.sketch, points, model.train)

@@ -187,7 +187,10 @@ def ground_truth(queries, base, sigma, threshold=None):
     tol_b = tol * bb
     n_b = base.shape[0]
     index_type = np.promote_types(np.min_scalar_type(-n_b), np.int16)
-    flats, sizes = [], []
+    # flat grows in place block by block (a realloc, not a second copy) and
+    # no view of it lives across a resize, so its references need no check
+    flat = np.empty(0, dtype=index_type)
+    ends = np.zeros(queries.shape[0] + 1, dtype=np.int64)
     for part in _row_blocks(queries.shape[0], n_b):
         block = queries[part]
         qq = np.einsum("ij,ij->i", block, block)
@@ -204,11 +207,13 @@ def ground_truth(queries, base, sigma, threshold=None):
             keep[band] = cdist(block, base[hit])[rows[band], hit_col] <= threshold
         if exclude:
             keep &= cols != rows + part.start
-        flats.append(cols[keep].astype(index_type))
-        sizes.append(np.bincount(rows[keep], minlength=block.shape[0]))
-    ends = np.zeros(queries.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(sizes), out=ends[1:])
-    return GroundTruth(SimilarSets(np.concatenate(flats), ends), threshold)
+        filled = flat.size
+        flat.resize(filled + np.count_nonzero(keep), refcheck=False)
+        flat[filled:] = cols[keep]
+        ends[part.start + 1:part.stop + 1] = np.bincount(rows[keep],
+                                                         minlength=block.shape[0])
+    np.cumsum(ends, out=ends)
+    return GroundTruth(SimilarSets(flat, ends), threshold)
 
 
 def retrieve_hamming(codes_query, codes_base, r):

@@ -92,6 +92,17 @@ def _arrowhead_svd(s, p, rho):
     return sigma[::-1], w[::-1, ::-1].T
 
 
+def _anchored(v):
+    """v with each column flipped so its largest-magnitude entry is positive.
+
+    The one sign rule of every spectral code, sketched or exact: LAPACK's
+    sign choice is arbitrary, differs between solvers, and can change when
+    the matrix changes slightly.
+    """
+    anchor = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return v * np.where(anchor >= 0, 1.0, -1.0)
+
+
 class FdSketch:
     """Frequent Directions sketch held as factors plus pending rows.
 
@@ -241,10 +252,9 @@ class FdSketch:
 
         Columns are ordered by non-increasing singular value. They come from
         the factorisation a shrink uses, so after the first shrink of a wide
-        sketch a read factors only the pending rows. Each column is flipped
-        so its largest-magnitude entry is positive: the LAPACK sign choice
-        is arbitrary and can change when the buffer changes slightly, which
-        would make codes emitted at different stream positions incomparable.
+        sketch a read factors only the pending rows. Each column is signed by
+        _anchored, the rule exact_codes shares, so codes emitted at
+        different stream positions, and exact codes, are comparable.
         A read of more columns than the sketch holds rows decomposes the
         whole buffer; the trailing columns are then an orthonormal
         completion from its full SVD and carry no data. Undefined, and a
@@ -260,7 +270,4 @@ class FdSketch:
         if not len(self._s) and not any(row.any() for row in self._pending):
             raise NumericalError("sketch buffer is all zeros, no basis defined")
         _, vt = self._svd(lambda s: k)
-        v = vt[:k].T
-        anchor = v[np.argmax(np.abs(v), axis=0), np.arange(k)]
-        flip = np.where(anchor >= 0, 1.0, -1.0)
-        return v * flip
+        return _anchored(vt[:k].T)

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from ssbc import (GuardError, ParameterError, exact_codes, haar_rotation,
-                  lsh_encode_batch, lsh_train)
+from ssbc import (DataError, GuardError, ParameterError, estimate_sigma_nn,
+                  exact_codes, haar_rotation, lsh_encode_batch, lsh_train)
 from ssbc.data import synth_uniform
 
 
@@ -42,6 +44,17 @@ def test_lsh_encode_validates_dimension():
         lsh_encode_batch(model, np.zeros((3, 7)))
 
 
+def test_lsh_encode_refuses_non_finite_points():
+    model = lsh_train(4, 3, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="non-finite"):
+            lsh_encode_batch(model, [[np.nan, 1, 2, 3], [np.inf, 0, 0, 0]])
+        with pytest.raises(DataError, match="non-finite"):
+            lsh_encode_batch(model, [[1, 1, 2, 3], [0, 0, -np.inf, 0]])
+    assert lsh_encode_batch(model, np.zeros((0, 4))).shape == (0, 3)
+
+
 def test_lsh_zero_point_is_all_plus():
     model = lsh_train(4, 3, 0)
     assert np.array_equal(lsh_encode_batch(model, np.zeros((1, 4))), [[1, 1, 1]])
@@ -74,18 +87,31 @@ def test_exact_codes_basic():
     assert np.all(np.diff(out.eigenvalues) <= 1e-12)  # sorted descending
 
 
+def anchor_columns(u):
+    # flip each column so its largest-magnitude entry is positive
+    u = u.copy()
+    for j in range(u.shape[1]):
+        if u[np.argmax(np.abs(u[:, j])), j] < 0:
+            u[:, j] = -u[:, j]
+    return u
+
+
 def test_exact_codes_match_dense_oracle():
-    pts = synth_uniform(15, 4, 3).points
-    sigma = 0.4
-    w = np.empty((15, 15))
-    for i in range(15):
-        for j in range(15):
-            w[i, j] = np.exp(-np.dot(pts[i] - pts[j], pts[i] - pts[j]) / sigma)
-    vals, vecs = np.linalg.eigh(w)
-    u_k = vecs[:, ::-1][:, :3]
-    out = exact_codes(pts, 3, sigma)
-    assert np.array_equal(out.codes, np.where(u_k >= 0, 1, -1).astype(np.int8))
-    assert np.allclose(out.eigenvalues, vals[::-1][:3], atol=1e-12)
+    # at n = 300 np.linalg.eigh and a top-k solver disagree in the raw sign
+    # of 9 of the 20 columns, so the codes must not depend on the solver
+    pts300 = synth_uniform(300, 50, 0).points
+    for pts, sigma, k in ((synth_uniform(15, 4, 3).points, 0.4, 3),
+                          (pts300, estimate_sigma_nn(pts300, 30), 20)):
+        n = pts.shape[0]
+        w = np.empty((n, n))
+        for i in range(n):
+            for j in range(n):
+                w[i, j] = np.exp(-np.dot(pts[i] - pts[j], pts[i] - pts[j]) / sigma)
+        vals, vecs = np.linalg.eigh(w)
+        u_k = anchor_columns(vecs[:, ::-1][:, :k])
+        out = exact_codes(pts, k, sigma)
+        assert np.array_equal(out.codes, np.where(u_k >= 0, 1, -1).astype(np.int8))
+        assert np.allclose(out.eigenvalues, vals[::-1][:k], atol=1e-12)
 
 
 def test_exact_codes_top_eigenvector_sign_structure():
@@ -111,7 +137,7 @@ def test_exact_randomized_matches_manual_rotation():
     w = np.exp(-np.square(
         np.linalg.norm(pts[:, None] - pts[None], axis=2)) / sigma)
     vals, vecs = np.linalg.eigh(w)
-    u_k = vecs[:, ::-1][:, :4]
+    u_k = anchor_columns(vecs[:, ::-1][:, :4])
     rot = haar_rotation(4, 2)
     assert np.array_equal(out.codes,
                           np.where(u_k @ rot >= 0, 1, -1).astype(np.int8))

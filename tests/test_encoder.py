@@ -134,6 +134,17 @@ def test_encode_batch_empty():
     assert out.dtype == np.int8
 
 
+def test_encode_batch_checks_the_width_of_an_empty_batch():
+    ds, train = small_train(n=50, d=4)
+    model = ssbc_train(train, SsbcParams(3, 0.5))
+    assert ssbc_encode_batch(model, np.zeros((0, 4))).shape == (0, 3)
+    with pytest.raises(ParameterError, match="dimension 7"):
+        ssbc_encode_batch(model, np.zeros((0, 7)))
+    with pytest.raises(ParameterError, match="dimension 7"):
+        ssbc_encode_batch(model, np.zeros((1, 7)))
+    assert model.sketch.rows_seen == 50
+
+
 def test_encode_batch_rejects_points_of_width_zero():
     # five points of width 0 are five bad points, not an empty batch
     ds, train = small_train()
@@ -161,6 +172,22 @@ def test_batch_codes_match_exact_up_to_column_flips():
     assert np.all(column_flip)
     assert np.array_equal(hamming_matrix(codes, codes),
                           hamming_matrix(ex.codes, ex.codes))
+
+
+def test_batch_codes_equal_anchored_exact_codes_bit_for_bit():
+    # acceptance criterion 2's configuration, where the lossless sketch's
+    # basis spans the exact eigenvectors: under the one anchor rule the
+    # codes agree bit for bit, not just up to column flips
+    k = 8
+    for seed in range(5):
+        pts = synth_uniform(150, 50, seed).points
+        sigma = estimate_sigma_nn(pts, 30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = ssbc_train(TrainSet(pts, sigma), SsbcParams(k, 0.025))
+        codes = ssbc_encode_batch(model, pts)
+        exact = exact_codes(pts, k + 1, sigma).codes[:, :k]
+        assert np.array_equal(codes, exact), seed
 
 
 def test_batch_codes_match_full_svd_reference_sketch():

@@ -165,6 +165,28 @@ def test_ground_truth_sets_are_views_into_one_compact_array():
         truth.similar[n]
 
 
+def test_ground_truth_peak_holds_its_flat_array_once():
+    # beside the flat array, ground truth holds one block at a time: a
+    # _PAIR_BLOCK-pair float64 Gram product and index arrays of the block's
+    # candidates, within four such products here. A second copy of the
+    # flat array, 20.8 MB at this shape, cannot fit in that allowance.
+    pts = synth_uniform(6000, 4, 0).points
+    tracemalloc.start()
+    try:
+        truth = ground_truth(pts, pts, 1.0, threshold=0.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    allowance = 4 * 8 * _PAIR_BLOCK
+    flat = truth.similar.flat
+    assert flat.nbytes > 2 * allowance
+    assert peak <= flat.nbytes + allowance, (peak, flat.nbytes)
+    for got, want in zip(truth.similar[:200], cdist_sets(pts[:200], pts, 0.2, True)):
+        assert np.array_equal(got, want)
+    last = np.nonzero(cdist(pts[-1:], pts)[0] <= 0.2)[0]
+    assert np.array_equal(truth.similar[-1], last[:-1])
+
+
 @pytest.mark.parametrize("n_b, index_type", [(32768, np.int16), (32769, np.int32)])
 def test_ground_truth_index_type_holds_every_base_index(n_b, index_type):
     base = np.zeros((n_b, 1))

@@ -27,9 +27,9 @@ sigma_nn30 on the training points.
 * theory: `theory_spectral_check` (m = 100, ell = 20) at seeds 0-2 and
   exhaustive, then `column_norm_diagnostic`, on synth_uniform(500, 50, 0)
   with sigma_nn30, as hex floats;
-* exact: `exact_codes` at n = 300 (synth_uniform(300, 50, 0), sigma_nn30)
-  and k = 20, deterministic and randomized (seed 0): the sha256 of the
-  codes and of the eigenvalues;
+* exact: `exact_codes` at n = 300, k = 20 and at n = 2000, k = 32
+  (synth_uniform(n, 50, 0), sigma_nn30), deterministic and randomized
+  (seed 0): the sha256 of the codes and of the eigenvalues;
 * asym: the truth of the seed-1000 test points against its training points
   (no self-exclusion), and the report of the test points' LSH codes (k=32)
   against the training points' codes;
@@ -141,13 +141,14 @@ def main():
     print("theory n=500 sigma=%s seeds0-2,exhaustive=%s cols=%s,%s,%s"
           % (sigma.hex(), ";".join(errs), cols["cmax"].hex(), cols["cmin"].hex(),
              cols["ratio"].hex()), flush=True)
-    pts = synth_uniform(300, 50, 0).points
-    sigma = estimate_sigma_nn(pts, 30)
-    fields = []
-    for mode in ("deterministic", "randomized"):
-        out = exact_codes(pts, 20, sigma, mode=mode, seed=0)
-        fields.append("%s=%s,%s" % (mode, _sha(out.codes), _sha(out.eigenvalues)))
-    print("exact n=300 k=20 %s" % " ".join(fields), flush=True)
+    for n, k in ((300, 20), (2000, 32)):
+        pts = synth_uniform(n, 50, 0).points
+        sigma = estimate_sigma_nn(pts, 30)
+        fields = []
+        for mode in ("deterministic", "randomized"):
+            out = exact_codes(pts, k, sigma, mode=mode, seed=0)
+            fields.append("%s=%s,%s" % (mode, _sha(out.codes), _sha(out.eigenvalues)))
+        print("exact n=%d k=%d %s" % (n, k, " ".join(fields)), flush=True)
     train, test = _split(1000)
     model = lsh_train(50, 32, 1000)
     codes = lsh_encode_batch(model, test)
