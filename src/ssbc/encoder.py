@@ -38,8 +38,12 @@ from .sketch import FdSketch
 
 
 def signs(values):
-    """Elementwise sign with sign(0) = +1, as int8 in {-1, +1}."""
-    return np.where(np.asarray(values) >= 0, 1, -1).astype(np.int8)
+    """Elementwise sign as int8 in {-1, +1}: +1 where a value is >= 0, so
+    +0 and -0 give +1 and NaN gives -1."""
+    out = (np.asarray(values) >= 0).astype(np.int8)
+    out *= 2
+    out -= 1
+    return out
 
 
 class SsbcParams:
@@ -131,7 +135,7 @@ def ssbc_encode_batch(model, points):
     if model.sketch.rows_seen < 1:
         raise ParameterError("model sketch has seen no rows; train it first")
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim and len(points) == 0:
+    if points.ndim in (1, 2) and len(points) == 0:
         if points.ndim == 2 and points.shape[1] != model.train.d:
             raise ParameterError("queries have dimension %d, train set has %d"
                                  % (points.shape[1], model.train.d))

@@ -380,7 +380,8 @@ def _sweep(codes_query, codes_base, truth):
                         inter_at[:, r] / np.maximum(ret_at[:, r], 1), 1.0)
         rec = np.where(sizes > 0,
                        inter_at[:, r] / np.maximum(sizes, 1), 1.0)
-        curve.append((math.fsum(prec) / n_q, math.fsum(rec) / n_q))
+        curve.append((math.fsum(prec.tolist()) / n_q,
+                      math.fsum(rec.tolist()) / n_q))
     return curve, math.fsum(aps) / len(aps) if aps else 1.0
 
 

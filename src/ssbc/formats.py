@@ -14,6 +14,7 @@ import json
 
 import numpy as np
 
+from .affinity import _row_blocks
 from .errors import DataError, ParameterError
 
 FORMAT_VERSION = 1
@@ -42,13 +43,22 @@ def write_json(path, payload):
 
 
 def _codes_lines(codes, packed):
-    if packed:
-        bits = (codes > 0).astype(np.uint8)
-        for row in bits:
-            yield np.packbits(row).tobytes().hex()
-    else:
-        for row in codes:
-            yield "".join("+" if b > 0 else "-" for b in row)
+    """Each block of rows (affinity._row_blocks) as one string of code
+    lines, built as one uint8 array of ASCII bytes with a newline per row."""
+    count, k = codes.shape
+    # k + 1 bytes per row in the signs encoding, its widest
+    for rows in _row_blocks(count, k + 1):
+        plus = codes[rows] > 0
+        if packed:
+            bits = np.packbits(plus, axis=1)
+            text = bits.tobytes().hex().encode("ascii")
+            chars = np.frombuffer(text, dtype=np.uint8)
+            chars = chars.reshape(len(bits), 2 * bits.shape[1])
+        else:
+            chars = np.where(plus, ord("+"), ord("-"))
+        block = np.full((chars.shape[0], chars.shape[1] + 1), ord("\n"), dtype=np.uint8)
+        block[:, :-1] = chars
+        yield block.tobytes().decode("ascii")
 
 
 def write_codes(path, codes, method, config=None, packed=False):
@@ -65,8 +75,8 @@ def write_codes(path, codes, method, config=None, packed=False):
                      % (FORMAT_VERSION, method, k, count, encoding))
         handle.write("# config %s\n" % json.dumps(config or {}, sort_keys=True,
                                                   default=_plain))
-        for line in _codes_lines(codes, packed):
-            handle.write(line + "\n")
+        for lines in _codes_lines(codes, packed):
+            handle.write(lines)
 
 
 def read_codes(path):

@@ -145,6 +145,15 @@ def test_encode_batch_checks_the_width_of_an_empty_batch():
     assert model.sketch.rows_seen == 50
 
 
+def test_encode_batch_rejects_an_empty_batch_of_more_than_two_dimensions():
+    ds, train = small_train(n=50, d=4)
+    model = ssbc_train(train, SsbcParams(3, 0.5))
+    for shape in [(1, 4, 2), (0, 4, 2), (0, 4, 0)]:
+        with pytest.raises(ParameterError, match="non-empty 2-d"):
+            ssbc_encode_batch(model, np.zeros(shape))
+    assert model.sketch.rows_seen == 50
+
+
 def test_encode_batch_rejects_points_of_width_zero():
     # five points of width 0 are five bad points, not an empty batch
     ds, train = small_train()
@@ -234,6 +243,19 @@ def test_streaming_and_online_agree_on_last_point():
     model_b = ssbc_train(train_b, SsbcParams(4, 0.5))
     batch = ssbc_encode_batch(model_b, queries)
     assert np.array_equal(online[-1], batch[-1])
+
+
+def test_signs_rule_dtype_and_shape():
+    # +1 wherever value >= 0: both zeros give +1, NaN compares false and gives -1
+    values = np.array([0.0, -0.0, np.nan, 1e-300, -1e-300, 2.5, -np.inf, np.inf])
+    out = signs(values)
+    assert out.dtype == np.int8 and out.shape == (8,)
+    assert out.tolist() == [1, 1, -1, 1, -1, 1, -1, 1]
+    grid = values[:6].reshape(2, 3)
+    out = signs(grid)
+    assert out.dtype == np.int8 and out.shape == (2, 3)
+    assert out.tolist() == [[1, 1, -1], [1, -1, 1]]
+    assert signs([[-0.0, 3.0]]).tolist() == [[1, 1]]
 
 
 def test_sign_project_tie_break_and_oddness():

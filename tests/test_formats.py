@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ssbc import DataError, ParameterError
+from ssbc.affinity import _row_blocks
 from ssbc.formats import (CSV_HEADER, FORMAT_VERSION, dataset_meta,
                           read_codes, report_payload, write_codes,
                           write_json, write_reports_csv)
@@ -79,6 +80,30 @@ def test_codes_hex_wide_roundtrip(tmp_path):
     write_codes(path, codes, "lsh", packed=True)
     back, _ = read_codes(path)
     assert np.array_equal(back, codes)
+
+
+def test_write_codes_matches_a_per_element_oracle_over_several_blocks(tmp_path):
+    # k = 9 pads the second hex byte; 300 rows span three 128-row blocks
+    rng = np.random.default_rng(17)
+    k = 9
+    for count in (300, 0):
+        codes = np.where(rng.random((count, k)) < 0.5, -1, 1).astype(np.int8)
+        assert count == 0 or len(_row_blocks(count, k + 1)) > 1
+        for packed in (False, True):
+            path = tmp_path / ("c%d%d.codes" % (count, packed))
+            write_codes(path, codes, "lsh", packed=packed)
+            body = path.read_text().split("\n")[2:]
+            assert body.pop() == ""
+            expected = []
+            for row in codes.tolist():
+                if packed:
+                    value = 0
+                    for b in row + [-1] * 7:
+                        value = 2 * value + (b > 0)
+                    expected.append("%04x" % value)
+                else:
+                    expected.append("".join("+" if b > 0 else "-" for b in row))
+            assert body == expected
 
 
 def test_write_codes_validation(tmp_path):

@@ -1,16 +1,17 @@
 """Alternate perfbench runs of two checkouts and write the record as JSON.
 
 Runs `perfbench/run.py` of one workload and seed N times in each of a
-parent and a change checkout, alternating, each run in its own process
-with the checkout as working directory and perfbench's own run length.
-Pair i runs the parent first when i is even and the change first when it
-is odd, so neither side always runs on a host the other has just warmed.
+parent and a change checkout, strictly alternating, each run in its own
+process with the checkout as working directory and perfbench's own run
+length. Every pair runs the parent, then the change, so no side ever runs
+twice back to back and a quiet or busy minute of the host falls on both.
 Writes bench/BENCH_<label>.json under the current directory:
 
 * per side: every run's end-to-end metrics, failed and attempted counts,
   correctness flag and round count, and the `# machine` record of its
   first run (cores, BLAS and its threads, git sha), and the checkout's
-  HEAD with whether its working tree is dirty;
+  HEAD with whether its working tree is dirty and the sha256 of its
+  `git diff HEAD`, which tells apart two change sides on one HEAD;
 * per metric: each side's median and quartiles, the change/parent ratio
   of the medians, and how many pairs the change won, with "better" read
   from the change checkout's BENCHMARK.json.
@@ -23,6 +24,7 @@ that exits non-zero or prints no result line stops the script.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -53,19 +55,24 @@ def run_once(checkout, workload, seed):
 
 
 def tree_state(checkout):
-    """HEAD and whether the working tree differs from it, or None without git.
+    """HEAD, whether the working tree differs from it and the sha256 of that
+    difference, or None without git.
 
     perfbench records HEAD only, so a change measured before it is
-    committed shows its parent's sha; "dirty" marks that case.
+    committed shows its parent's sha; "dirty" marks that case and
+    "diff_sha256" identifies the uncommitted change.
     """
     try:
         head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
                               capture_output=True, text=True, check=True)
         status = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
                                 cwd=checkout, capture_output=True, text=True, check=True)
+        diff = subprocess.run(["git", "diff", "HEAD"], cwd=checkout,
+                              capture_output=True, check=True)
     except (OSError, subprocess.CalledProcessError):
         return None
-    return {"head": head.stdout.strip(), "dirty": bool(status.stdout.strip())}
+    return {"head": head.stdout.strip(), "dirty": bool(status.stdout.strip()),
+            "diff_sha256": hashlib.sha256(diff.stdout).hexdigest()}
 
 
 def spread(values):
@@ -109,8 +116,7 @@ def main(argv=None):
     runs = {side: [] for side in sides}
     machines = {}
     for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
+        for side in sides:
             run, machine = run_once(sides[side], args.workload, args.seed)
             runs[side].append(run)
             machines.setdefault(side, machine)
