@@ -207,6 +207,8 @@ def _load_dataset(args):
 def _resolve_sigma(points, args):
     """sigma as --sigma-mode asks, estimated on points where it is not fixed."""
     mode = args.sigma_mode
+    if mode != "fixed" and args.sigma_value is not None:
+        raise ParameterError("--sigma-value needs --sigma-mode fixed, not %s" % mode)
     if mode == "fixed":
         if args.sigma_value is None or not (args.sigma_value > 0):
             raise ParameterError("--sigma-mode fixed requires a positive --sigma-value")

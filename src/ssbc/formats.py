@@ -110,13 +110,15 @@ def read_codes(path):
     if len(body) != count:
         raise DataError("%s: expected %d code lines, found %d"
                         % (path, count, len(body)))
+    if encoding not in ("signs", "hex"):
+        raise DataError("%s: unknown encoding %r" % (path, encoding))
     rows = np.empty((count, k), dtype=np.int8)
     for i, line in enumerate(body):
         if encoding == "signs":
             if len(line) != k or set(line) - {"+", "-"}:
                 raise DataError("%s: bad code line %d" % (path, i + 3))
             rows[i] = [1 if ch == "+" else -1 for ch in line]
-        elif encoding == "hex":
+        else:
             try:
                 raw = bytes.fromhex(line)
             except ValueError as exc:
@@ -129,8 +131,6 @@ def read_codes(path):
                 raise DataError("%s: hex line %d sets padding bits past k=%d"
                                 % (path, i + 3, k))
             rows[i] = np.where(bits[:k] > 0, 1, -1)
-        else:
-            raise DataError("%s: unknown encoding %r" % (path, encoding))
     meta["k"] = k
     meta["count"] = count
     meta["format"] = version

@@ -10,19 +10,16 @@ delta = s2[ell-1]): a separately squared delta can differ by one ulp and
 leave the last value a tiny positive number instead of zero, and B no
 free row.
 
-The sketch stores B factored, as (s', V^T) and the rows inserted since,
-and builds the array only when `buffer` is read. A shrink or a basis read
-factors just those rows on top of V^T (Brand 2006, "Fast low-rank
-modifications of the thin SVD"): two Gram-Schmidt passes against V^T and
-a QR of the residual leave a square core K whose SVD, rotated, gives B's
-singular values and right singular vectors. A shrink nearly always
-follows a single insert, and then K is the arrowhead
-[[diag(s), 0], [p, rho]]: K^T K = diag(s^2, 0) + z z^T with z = [p, rho],
-a rank-one update of a diagonal. LAPACK dlasd4 finds its roots one by one
-(Gu & Eisenstat 1995, "A divide-and-conquer algorithm for the bidiagonal
-SVD"), and the vectors (D^2 - sigma_i^2)^-1 z use a z recomputed from the
-roots by the Loewner formula, as dlasd8 does, so they are orthogonal by
-construction.
+FdSketch carries B's factors and factors B in one of two ways; _svd says
+when each is taken. One is a full SVD of B. The other folds one new row
+into the carried factors, as before nearly every shrink (Brand 2006,
+"Fast low-rank modifications of the thin SVD"), through the SVD of the
+arrowhead core K = [[diag(s), 0], [p, rho]] of _updated_svd:
+K^T K = diag(s^2, 0) + z z^T with z = [p, rho], a rank-one update of a
+diagonal. LAPACK dlasd4 finds its roots one by one (Gu & Eisenstat 1995,
+"A divide-and-conquer algorithm for the bidiagonal SVD"), and the vectors
+(D^2 - sigma_i^2)^-1 z use a z recomputed from the roots by the Loewner
+formula, as dlasd8 does, so they are orthogonal by construction.
 
 The memory layout in that solve is part of its result. dlasd4's roots are
 stored one per row of gap (gap[i, j] = d_j^2 - sigma_i^2), and each Loewner
@@ -31,9 +28,6 @@ are built C-ordered from gap's transpose: numpy sums a column norm of a
 C-ordered array one row at a time, but pairwise on a Fortran-ordered one,
 and the two orders give different bits. Moving either array to the other
 layout would change the codes.
-
-_arrowhead_svd lists where a general SVD of K is taken instead, and _svd
-where the whole buffer is decomposed.
 """
 
 import math
@@ -52,13 +46,13 @@ _DEFLATE_TOL = 64 * np.finfo(np.float64).eps
 def _arrowhead_svd(s, p, rho):
     """Singular values and right singular rows of K = [[diag(s), 0], [p, rho]].
 
-    s is positive and non-increasing. Returns None, and the caller takes
-    an SVD of K, when some z_j is negligible (rho = 0 among them), when two
-    entries of [s, 0] are tied (both at LAPACK dlasd2's deflation
-    tolerance), when dlasd4 reports failure, or when a recomputed z_j^2 is
-    not positive. LAPACK orders d = [0, s] ascending, the reverse of K's index order,
-    and dlasd4's delta * work is d_j^2 - sigma_i^2 to high relative
-    accuracy.
+    s is positive and non-increasing. Returns None, and the caller
+    decomposes the whole buffer, when some z_j is negligible (rho = 0 among
+    them), when two entries of [s, 0] are tied (both at LAPACK dlasd2's
+    deflation tolerance), when dlasd4 reports failure, or when a recomputed
+    z_j^2 is not positive. LAPACK orders d = [0, s] ascending, the reverse
+    of K's index order, and dlasd4's delta * work is d_j^2 - sigma_i^2 to
+    high relative accuracy.
     """
     if not len(s):
         return None  # a 1 x 1 core; dlasd4 leaves delta and work unset
@@ -108,8 +102,8 @@ class FdSketch:
 
     The state is the pair (s, V^T) the last shrink kept, s positive, and
     the rows inserted since; `buffer` builds [diag(s) V^T; pending; zeros]
-    on each read. Before the first shrink and in a tall sketch (ell > m)
-    nothing is carried and every row held is pending.
+    on each read. Before the first shrink nothing is carried and every
+    row held is pending.
 
     Two floats certify the sketch after the fact (Ghashami, Liberty,
     Phillips & Woodruff 2016): over the rows A inserted so far,
@@ -125,7 +119,6 @@ class FdSketch:
         self.shrink_count = 0
         self.shrinkage = 0.0
         self.frobenius_sq = 0.0
-        # kept by the last shrink of a wide sketch; _vt is None until then
         self._s = np.zeros(0)
         self._vt = None
         self._pending = []
@@ -172,17 +165,13 @@ class FdSketch:
         singular value is exactly zero is freed, so repeated singular values
         tied with the ell-th release more than one row at once. In a tall
         sketch (ell > m, legal but wasteful) the ell-th singular value is
-        structurally zero, the shrink is lossless, and the kept rows stay
-        pending.
+        structurally zero and the shrink is lossless.
         """
         s, vt = self._svd(lambda s: self._shrunk_values(s)[2])
         delta, shrunk, nz = self._shrunk_values(s)
         self.shrink_count += 1
         self.shrinkage += delta
-        if self.ell <= self.m:
-            self._s, self._vt, self._pending = shrunk[:nz], vt[:nz], []
-        else:
-            self._pending = list(shrunk[:nz, None] * vt[:nz])
+        self._s, self._vt, self._pending = shrunk[:nz], vt[:nz], []
 
     def _shrunk_values(self, s):
         """The delta subtracted, the shrunk singular values and the count
@@ -196,14 +185,18 @@ class FdSketch:
         """Singular values and right singular rows of the buffer.
 
         used(s) is how many leading right singular rows the caller reads.
-        The carried factorisation, updated with the pending rows if there
-        are any, is returned when it has that many rows and they are within
-        _ORTHO_TOL of orthonormal; otherwise, and where nothing is carried,
-        the whole buffer is decomposed.
+        The carried factors, updated by _updated_svd when one row is
+        pending, are returned if they have that many rows within _ORTHO_TOL
+        of orthonormal. Otherwise the whole buffer is decomposed, as before
+        the first shrink, in a tall sketch (ell > m), with two or more rows
+        pending, or when _updated_svd declines.
         """
         try:
-            if self._vt is not None:
-                s, vt = self._updated_svd() if self._pending else (self._s, self._vt)
+            carried = None
+            if self._vt is not None and len(self._pending) <= 1 and self.ell <= self.m:
+                carried = self._updated_svd() if self._pending else (self._s, self._vt)
+            if carried is not None:
+                s, vt = carried
                 n = used(s)
                 if n <= len(s):
                     gram = vt[:n] @ vt[:n].T
@@ -216,17 +209,16 @@ class FdSketch:
         return s, vt
 
     def _updated_svd(self):
-        """Singular values and right singular rows of the rows held.
+        """Singular values and right singular rows of the carried rows plus
+        the one pending row, or None where _arrowhead_svd declines.
 
-        These are diag(s) Vt for the carried (s, Vt), then the pending rows
-        C = P Vt + R^T Q^T, with P from two Gram-Schmidt passes against Vt
-        and Q R the QR factorisation of the residual's transpose. Then
-        B = K [Vt; Q^T] with the square core K = [[diag(s), 0], [P, R^T]],
-        and the SVD K = U diag(s') W^T gives B's singular values s' and
-        right singular rows W^T [Vt; Q^T]. K is decomposed by the secular
-        solve when one row is pending, by an SVD otherwise.
+        These are diag(s) Vt for the carried (s, Vt), then the pending row
+        c = p Vt + rho q^T, with p from two Gram-Schmidt passes against Vt
+        and q rho the QR factorisation of the residual's transpose. Then
+        B = K [Vt; q^T] with the arrowhead K = [[diag(s), 0], [p, rho]], and
+        the SVD K = U diag(s') W^T gives B's singular values s' and right
+        singular rows W^T [Vt; q^T].
         """
-        nz = len(self._s)
         vt = self._vt
         new = np.array(self._pending)
         coef = new @ vt.T
@@ -235,29 +227,20 @@ class FdSketch:
         resid -= coef2 @ vt
         coef += coef2
         q, r = np.linalg.qr(resid.T)
-        rows = np.vstack([vt, q.T])
-        if len(new) == 1:
-            arrow = _arrowhead_svd(self._s, coef[0], r[0, 0])
-            if arrow is not None:
-                return arrow[0], arrow[1] @ rows
-        core = np.zeros((self.next_zero_row, self.next_zero_row))
-        core[:nz, :nz] = np.diag(self._s)
-        core[nz:, :nz] = coef
-        core[nz:, nz:] = r.T
-        _, s, wt = np.linalg.svd(core, full_matrices=False)
-        return s, wt @ rows
+        arrow = _arrowhead_svd(self._s, coef[0], r[0, 0])
+        if arrow is None:
+            return None
+        return arrow[0], arrow[1] @ np.vstack([vt, q.T])
 
     def basis(self, k):
         """First k right singular vectors of the buffer, as an m x k matrix.
 
-        Columns are ordered by non-increasing singular value. They come from
-        the factorisation a shrink uses, so after the first shrink of a wide
-        sketch a read factors only the pending rows. Each column is signed by
-        _anchored, the rule exact_codes shares, so codes emitted at
-        different stream positions, and exact codes, are comparable.
-        A read of more columns than the sketch holds rows decomposes the
-        whole buffer; the trailing columns are then an orthonormal
-        completion from its full SVD and carry no data. Undefined, and a
+        Columns are ordered by non-increasing singular value and come from
+        the factorisation a shrink uses (_svd), each signed by _anchored,
+        the rule exact_codes shares, so codes emitted at different stream
+        positions, and exact codes, are comparable. In a read of more
+        columns than the sketch holds rows, the trailing columns are an
+        orthonormal completion and carry no data. Undefined, and a
         NumericalError, on a sketch that holds no data: nothing inserted
         yet, or every direction annihilated and only zero rows since.
         """

@@ -169,6 +169,22 @@ def test_run_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ssbc: NumericalError: ")
 
 
+def test_sigma_value_without_fixed_mode_is_refused(tmp_path, capsys):
+    # an estimated sigma would be used while the config echoed the value
+    inputs = ["--uniform", "80", "--dim", "6", "--train", "40", "--test", "40"]
+    for argv in (run_args(tmp_path, "r", "--method", "lsh", "--sigma-value", "0.3"),
+                 ["sweep"] + inputs + ["--methods", "lsh", "--k-list", "6",
+                                       "--sigma-value", "0.3",
+                                       "--out-prefix", str(tmp_path / "w")],
+                 ["theory-check", "--uniform", "40", "--dim", "4", "--m", "15",
+                  "--ell", "8", "--seeds", "1", "--sigma-mode", "all",
+                  "--sigma-value", "0.3", "--out-prefix", str(tmp_path / "t")]):
+        capsys.readouterr()
+        assert main(argv) == 1, argv[0]
+        assert "--sigma-value needs --sigma-mode fixed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_data_problems_exit_two_with_a_message(tmp_path, capsys):
     same = tmp_path / "same.csv"
     same.write_text("1,2,3\n" * 12)

@@ -187,6 +187,58 @@ def test_read_codes_rejects_set_padding_bits(tmp_path):
         assert read_codes(path)[0].tolist() == [want]
 
 
+def _long_codes_file(path, k, encoding, lines):
+    path.write_text("# ssbc-codes format=1 method=m k=%d count=%d encoding=%s\n"
+                    "# config {}\n%s\n" % (k, len(lines), encoding, "\n".join(lines)))
+
+
+@pytest.mark.parametrize("encoding, bad, message", [
+    ("signs", "+-+", "bad code line 5002"),
+    ("signs", "+-+-+", "bad code line 5002"),
+    ("signs", "+-x-", "bad code line 5002"),
+    ("signs", "+-\x00-", "bad code line 5002"),
+    ("hex", "a", "bad hex line 5002"),
+    ("hex", "ag", "bad hex line 5002"),
+    ("hex", "a\u0660", "bad hex line 5002"),
+    ("hex", "a0ff", "hex line 5002 has 2 bytes, k=4 needs 1"),
+    ("hex", "", "hex line 5002 has 0 bytes, k=4 needs 1"),
+    ("hex", "a1", "hex line 5002 sets padding bits past k=4"),
+])
+def test_read_codes_names_the_first_bad_line_of_a_long_file(tmp_path, encoding, bad,
+                                                             message):
+    # a later line bad in another way must not be the one reported
+    lines = ["+-+-" if encoding == "signs" else "a0"] * 8000
+    lines[4999] = bad
+    lines[6999] = "--" if encoding == "signs" else "zz"
+    path = tmp_path / "long.codes"
+    _long_codes_file(path, 4, encoding, lines)
+    with pytest.raises(DataError) as info:
+        read_codes(path)
+    assert str(info.value) == "%s: %s" % (path, message)
+
+
+def test_read_codes_takes_hex_lines_as_bytes_fromhex_does(tmp_path):
+    # upper-case digits and spaces around whole bytes decode as written
+    lines = ["a0"] * 8000
+    lines[4999], lines[6999], lines[7999] = "A0", " a0", "a 0"
+    path = tmp_path / "hex.codes"
+    _long_codes_file(path, 4, "hex", lines[:7999])
+    back, meta = read_codes(path)
+    assert np.array_equal(back, np.tile(np.int8([1, -1, 1, -1]), (7999, 1)))
+    assert (meta["k"], meta["count"]) == (4, 7999)
+    _long_codes_file(path, 4, "hex", lines)
+    with pytest.raises(DataError, match="bad hex line 8002"):
+        read_codes(path)
+
+
+def test_read_codes_refuses_an_unknown_encoding_of_an_empty_body(tmp_path):
+    path = tmp_path / "empty.codes"
+    path.write_text("# ssbc-codes format=1 method=m k=2 count=0 encoding=raw\n"
+                    "# config {}\n")
+    with pytest.raises(DataError, match="unknown encoding 'raw'"):
+        read_codes(path)
+
+
 def sample_report():
     return EvalReport("lsh", 3, {"radius": 1, "seed": 0}, 0.5, 0.25, 0.75,
                       [(1.0, 0.0), (0.5, 0.25), (0.25, 0.5), (0.125, 1.0)])

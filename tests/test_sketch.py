@@ -261,6 +261,8 @@ def test_shrink_matches_full_svd_reference(stream):
         ref.insert(row)
         assert sk.shrink_count == ref.shrink_count
         assert sk.next_zero_row == ref.next_zero_row
+        # every shrink, a tall sketch's too, leaves carried factors
+        assert (sk._vt is not None) == (sk.shrink_count > 0)
         assert np.all(sk.buffer[sk.next_zero_row:] == 0)
         gram = sk.buffer.T @ sk.buffer
         ref_gram = ref.buffer.T @ ref.buffer
@@ -269,6 +271,20 @@ def test_shrink_matches_full_svd_reference(stream):
         if ref.buffer.any():
             _assert_gapped_columns_match(sk, ref, k)
     assert sk.shrink_count >= len(rows) // ell
+
+
+def test_a_tall_sketch_decomposes_its_whole_buffer_for_every_basis():
+    # a tall sketch (ell > m) carries factors after a shrink but reads its
+    # basis from the full SVD, so buffer and basis equal the reference's bits
+    rows, ell = _tall_stream()
+    m = rows.shape[1]
+    sk, ref = FdSketch(ell, m), FullSvdSketch(ell, m)
+    for row in rows:
+        sk.insert(row)
+        ref.insert(row)
+        assert np.array_equal(sk.buffer, ref.buffer)
+        assert np.array_equal(sk.basis(m - 1), ref.basis(m - 1))
+    assert sk.shrink_count > 0
 
 
 def _affinity_stream():
@@ -345,11 +361,12 @@ def test_one_row_shrinks_take_no_svd(monkeypatch, stream):
 
 def test_basis_folds_in_rows_inserted_since_the_last_shrink(monkeypatch):
     # three unit rows tie with the ell-th singular value, so the first shrink
-    # frees three rows; the reads after the next inserts must combine the
-    # carried factorisation with those rows, without a full SVD
+    # frees three rows; a read with one row pending folds it into the
+    # carried factorisation, while a read or shrink with two or more pending
+    # decomposes the whole buffer
     m, ell = 20, 6
     rows = np.vstack([np.eye(m)[:ell] * [[3.0], [2.0], [1.5], [1.0], [1.0], [1.0]],
-                      np.random.default_rng(47).standard_normal((2, m))])
+                      np.random.default_rng(47).standard_normal((3, m))])
     sk, ref = FdSketch(ell, m), FullSvdSketch(ell, m)
     for row in rows[:ell]:
         sk.insert(row)
@@ -360,7 +377,7 @@ def test_basis_folds_in_rows_inserted_since_the_last_shrink(monkeypatch):
 
     def counting_svd(a, *args, **kwargs):
         if np.shape(a) == (ell, m):
-            full.append(sk.shrink_count)
+            full.append((sk.shrink_count, len(sk._pending)))
         return svd(a, *args, **kwargs)
 
     for row in rows[ell:]:
@@ -370,7 +387,9 @@ def test_basis_folds_in_rows_inserted_since_the_last_shrink(monkeypatch):
         monkeypatch.setattr(np.linalg, "svd", svd)
         ref.insert(row)
         _assert_gapped_columns_match(sk, ref, 3)
-    assert sk.next_zero_row == 5 and not full
+    # the read with two rows pending, then the shrink with three
+    assert full == [(1, 2), (1, 3)]
+    assert sk.shrink_count == ref.shrink_count == 2
 
 
 def test_basis_read_right_after_a_shrink_takes_no_svd(monkeypatch):

@@ -42,7 +42,12 @@ sigma_nn30 on the training points.
   shape where blocks of affinity and distance rows are held to 2**18
   pairs: the sha256 of the codes and of the final buffer, and
   estimate_sigma_nn (t = 30) and estimate_sigma_all of the training
-  points as hex floats.
+  points as hex floats;
+* tall: synth_uniform(2100, 50, 1000) split as above into 100 training
+  and 2000 test points, trained at k = 50, so ell = 150 exceeds the
+  affinity width m = 100, and the test points encoded by
+  ssbc_encode_batch: the sha256 of the codes, the shrink_count and the
+  sha256 of the final buffer.
 
 A ground truth's digest hashes its sets as int64, so it does not depend
 on the integer type that holds them.
@@ -68,11 +73,11 @@ from ssbc import cli
 from ssbc.data import synth_uniform
 
 
-def _split(seed, n=2500):
+def _split(seed, n=2500, n_train=500):
     pts = synth_uniform(n, 50, seed).points
     perm = np.random.default_rng(seed).permutation(n)
-    train = pts[perm[:500]]
-    return TrainSet(train, estimate_sigma_nn(train, 30)), pts[perm[500:]]
+    train = pts[perm[:n_train]]
+    return TrainSet(train, estimate_sigma_nn(train, 30)), pts[perm[n_train:]]
 
 
 def _sha(a):
@@ -167,6 +172,12 @@ def main():
     print("wide m=3000 n=3000 k=5 codes=%s buffer=%s nn30=%s all=%s"
           % (_sha(codes), _sha(model.sketch.buffer), train.sigma.hex(),
              estimate_sigma_all(train.points).hex()), flush=True)
+    train, test = _split(1000, 2100, 100)
+    model = ssbc_train(train, SsbcParams(50, 0.5))
+    codes = ssbc_encode_batch(model, test)
+    print("tall m=100 ell=%d n=2000 k=50 codes=%s shrink_count=%d buffer=%s"
+          % (model.sketch.ell, _sha(codes), model.sketch.shrink_count,
+             _sha(model.sketch.buffer)), flush=True)
 
 
 if __name__ == "__main__":
