@@ -183,11 +183,13 @@ def _echo(args, **resolved):
 
 def _load_dataset(args):
     """The points --data or --uniform names; unset seeds take --seed first."""
+    if (args.data is None) == (args.uniform is None):
+        raise ParameterError("exactly one of --data and --uniform is required")
+    if args.data is not None and args.data_seed is not None:
+        raise ParameterError("--data-seed seeds --uniform points, not --data")
     for name in ("data_seed", "split_seed"):
         if name in vars(args) and vars(args)[name] is None:
             setattr(args, name, args.seed)
-    if (args.data is None) == (args.uniform is None):
-        raise ParameterError("exactly one of --data and --uniform is required")
     if args.data is not None:
         try:
             drops = [int(tok) for tok in args.drop_columns.split(",") if tok.strip()]
@@ -224,14 +226,19 @@ def _resolve_sigma(points, args):
     return sigma
 
 
-def _prepared_split(args):
+def _prepared_split(args, timings):
+    """The training set (points and resolved sigma) and the test points,
+    timed as "prepare"."""
+    t0 = time.perf_counter()
     ds = _load_dataset(args)
     spec = data.SplitSpec(args.train, args.test, args.split_seed)
     train_ds, test_ds = data.split(ds, spec)
     if train_ds.n < 1 or test_ds.n < 2:
         raise DataError("split left train=%d test=%d points; need at least 1 and 2"
                         % (train_ds.n, test_ds.n))
-    return train_ds, test_ds, _resolve_sigma(train_ds.points, args)
+    train = TrainSet(train_ds.points, _resolve_sigma(train_ds.points, args))
+    timings["prepare"] = time.perf_counter() - t0
+    return train, test_ds.points
 
 
 def _encode(args, train_set, test_points, include_train):
@@ -264,23 +271,22 @@ def _encode(args, train_set, test_points, include_train):
     return test_codes, train_codes
 
 
-def _ground_truth(args, test_ds, sigma, timings):
+def _ground_truth(args, train, test_points, timings):
     """Similar pairs among the test points, shared by every (method, k) cell."""
     t0 = time.perf_counter()
-    truth = evaluation.ground_truth(test_ds.points, test_ds.points, sigma,
+    truth = evaluation.ground_truth(test_points, test_points, train.sigma,
                                     threshold=args.truth_threshold)
     timings["truth"] = time.perf_counter() - t0
     return truth
 
 
-def _run_once(args, train_ds, test_ds, sigma, truth, timings, include_train=False):
+def _run_once(args, train, test_points, truth, timings, include_train=False):
     k = args.k
-    train_set = TrainSet(train_ds.points, sigma)
     t0 = time.perf_counter()
-    test_codes, train_codes = _encode(args, train_set, test_ds.points, include_train)
+    test_codes, train_codes = _encode(args, train, test_points, include_train)
     t1 = time.perf_counter()
     radius = k // 4 if args.hamming_radius == "sweep" else args.hamming_radius
-    config = _echo(args, resolved_sigma=sigma, resolved_threshold=truth.threshold,
+    config = _echo(args, resolved_sigma=train.sigma, resolved_threshold=truth.threshold,
                    resolved_radius=radius)
     report = evaluation.evaluate_retrieval(args.method, test_codes, test_codes,
                                            truth, radius, params=config)
@@ -288,29 +294,6 @@ def _run_once(args, train_ds, test_ds, sigma, truth, timings, include_train=Fals
     timings["%s_k%d_encode" % (args.method, k)] = t1 - t0
     timings["%s_k%d_eval" % (args.method, k)] = t2 - t1
     return report, config, test_codes, train_codes
-
-
-def _write_outputs(prefix, config, timings, reports=(), failures=None, theory=None):
-    """Every file but the codes, each carrying config.
-
-    run and sweep write .report.json and .report.csv (a sweep's with its
-    failed cells), theory-check writes .theory.json; each command writes
-    the .timings.json sidecar.
-    """
-    if theory is not None:
-        formats.write_json(prefix + ".theory.json",
-                           dict(theory, format_version=formats.FORMAT_VERSION,
-                                config=config))
-    else:
-        payload = formats.report_payload(reports, config)
-        if failures is not None:
-            payload["failures"] = [list(f) for f in failures]
-        formats.write_json(prefix + ".report.json", payload)
-        formats.write_reports_csv(prefix + ".report.csv", reports, config,
-                                  failures=failures or ())
-    formats.write_json(prefix + ".timings.json",
-                       {"format_version": formats.FORMAT_VERSION,
-                        "config": config, "timings": timings})
 
 
 def _print_report(report):
@@ -321,8 +304,9 @@ def _print_report(report):
 def cmd_synth(args):
     ds = data.synth_uniform(args.n, args.d, args.seed, args.name)
     data.save_csv(ds.points, args.out)
-    meta = formats.dataset_meta(ds, _echo(args, command=args.command), seed=args.seed)
-    formats.write_json(args.out + ".meta.json", meta)
+    formats.write_document(args.out + ".meta.json", _echo(args, command=args.command),
+                           name=ds.name, n=ds.n, d=ds.d, provenance=ds.provenance,
+                           seed=args.seed)
     print("wrote %s (%d x %d)" % (args.out, ds.n, ds.d))
     return 0
 
@@ -332,19 +316,19 @@ def cmd_run(args):
         raise ParameterError("--include-train does not apply to %s: it codes only "
                              "the points it decomposes" % args.method)
     timings = {}
-    t0 = time.perf_counter()
-    train_ds, test_ds, sigma = _prepared_split(args)
-    timings["prepare"] = time.perf_counter() - t0
-    truth = _ground_truth(args, test_ds, sigma, timings)
+    train, test_points = _prepared_split(args, timings)
+    truth = _ground_truth(args, train, test_points, timings)
     report, config, test_codes, train_codes = _run_once(
-        args, train_ds, test_ds, sigma, truth, timings, args.include_train)
+        args, train, test_points, truth, timings, args.include_train)
 
     prefix = _out_prefix(args, "%s_k%d_seed%d" % (args.method, args.k, args.seed))
     for suffix, codes in ((".codes", test_codes), (".train.codes", train_codes)):
         if codes is not None:
             formats.write_codes(prefix + suffix, codes, args.method,
                                 config=config, packed=args.packed)
-    _write_outputs(prefix, config, timings, [report])
+    formats.write_json(prefix + ".report.json", formats.report_payload([report], config))
+    formats.write_reports_csv(prefix + ".report.csv", [report], config)
+    formats.write_document(prefix + ".timings.json", config, timings=timings)
     _print_report(report)
     print("wrote %s.codes %s.report.json %s.report.csv" % (prefix, prefix, prefix))
     return 0
@@ -352,13 +336,11 @@ def cmd_run(args):
 
 def cmd_sweep(args):
     timings = {}
-    t0 = time.perf_counter()
-    train_ds, test_ds, sigma = _prepared_split(args)
-    timings["prepare"] = time.perf_counter() - t0
+    train, test_points = _prepared_split(args, timings)
 
     prefix = _out_prefix(args, "sweep_seed%d" % args.seed)
-    threshold = sigma if args.truth_threshold is None else args.truth_threshold
-    config = _echo(args, resolved_sigma=sigma, resolved_threshold=threshold)
+    threshold = train.sigma if args.truth_threshold is None else args.truth_threshold
+    config = _echo(args, resolved_sigma=train.sigma, resolved_threshold=threshold)
     # a cell reads the sweep's settings with its own method and k
     shared = {key: val for key, val in vars(args).items()
               if key not in ("methods", "k_list")}
@@ -370,16 +352,18 @@ def cmd_sweep(args):
         cell = argparse.Namespace(**shared, method=method, k=k)
         try:
             if truth is None:
-                truth = _ground_truth(cell, test_ds, sigma, timings)
-            reports.append(_run_once(cell, train_ds, test_ds, sigma, truth,
-                                     timings)[0])
+                truth = _ground_truth(cell, train, test_points, timings)
+            reports.append(_run_once(cell, train, test_points, truth, timings)[0])
         except SsbcError as exc:
             failures.append((method, k, type(exc).__name__))
             sys.stderr.write("sweep aborted at %s k=%d: %s\n" % (method, k, exc))
             exit_code = _exit_code_for(exc)
             break
 
-    _write_outputs(prefix, config, timings, reports, failures)
+    formats.write_json(prefix + ".report.json",
+                       dict(formats.report_payload(reports, config), failures=failures))
+    formats.write_reports_csv(prefix + ".report.csv", reports, config, failures)
+    formats.write_document(prefix + ".timings.json", config, timings=timings)
     for report in reports:
         _print_report(report)
     print("wrote %s.report.json %s.report.csv" % (prefix, prefix))
@@ -408,8 +392,9 @@ def cmd_theory_check(args):
     config = _echo(args, command=args.command, resolved_sigma=sigma,
                    sigma_note=args.sigma_mode, n=ds.n)
     prefix = _out_prefix(args, "theory_n%d_m%d_ell%d" % (ds.n, args.m, args.ell))
-    _write_outputs(prefix, config, timings, theory={
-        "column_norms": cols, "medians": medians, "runs": runs})
+    formats.write_document(prefix + ".theory.json", config,
+                           column_norms=cols, medians=medians, runs=runs)
+    formats.write_document(prefix + ".timings.json", config, timings=timings)
     print("medians errW2=%r errHat=%r errTilde=%r"
           % (medians["errW2"], medians["errHat"], medians["errTilde"]))
     print("column norms cmax=%r cmin=%r ratio=%r"

@@ -1,4 +1,4 @@
-"""On-disk formats: codes files, JSON reports, flat CSV reports, metadata.
+"""On-disk formats: codes files, JSON reports and documents, flat CSV reports.
 
 Every file embeds the resolved run configuration and a format version.
 JSON is written with sorted keys and no timestamps so a rerun with the
@@ -40,6 +40,11 @@ def write_json(path, payload):
     text = json.dumps(payload, sort_keys=True, indent=2, default=_plain)
     with _open_write(path) as handle:
         handle.write(text + "\n")
+
+
+def write_document(path, config, **fields):
+    """Write fields as a JSON document that also carries format_version and config."""
+    write_json(path, dict(fields, format_version=FORMAT_VERSION, config=config))
 
 
 def _codes_lines(codes, packed):
@@ -84,7 +89,7 @@ def read_codes(path):
     try:
         with open(path) as handle:
             lines = handle.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError("cannot read %s: %s" % (path, exc)) from exc
     if len(lines) < 2 or not lines[0].startswith("# ssbc-codes "):
         raise DataError("%s: not a codes file" % path)
@@ -173,16 +178,3 @@ def write_reports_csv(path, reports, config, failures=()):
                              % (rep.method, rep.k, r, fmt(prec), fmt(rec)))
         for method, k, message in failures:
             handle.write("%s,%s,summary,,,,,failed:%s\n" % (method, k, message))
-
-
-def dataset_meta(dataset, config, seed=None):
-    """Metadata document written alongside generated datasets."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "name": dataset.name,
-        "n": dataset.n,
-        "d": dataset.d,
-        "provenance": dataset.provenance,
-        "seed": seed,
-        "config": config or {},
-    }

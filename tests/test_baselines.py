@@ -2,9 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from ssbc import (DataError, GuardError, ParameterError, estimate_sigma_nn,
-                  exact_codes, haar_rotation, lsh_encode_batch, lsh_train)
+from ssbc import (DataError, GuardError, NumericalError, ParameterError,
+                  estimate_sigma_nn, exact_codes, haar_rotation, lsh_encode_batch,
+                  lsh_train)
 from ssbc.data import synth_uniform
 
 
@@ -85,6 +87,15 @@ def test_exact_codes_basic():
     assert out.codes.dtype == np.int8
     assert out.eigenvalues.shape == (4,)
     assert np.all(np.diff(out.eigenvalues) <= 1e-12)  # sorted descending
+
+
+def test_exact_codes_report_an_eigensolver_failure(monkeypatch):
+    def unconverged(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", unconverged)
+    with pytest.raises(NumericalError, match="eigendecomposition failed"):
+        exact_codes(synth_uniform(20, 5, 0).points, 4, 0.7)
 
 
 def anchor_columns(u):

@@ -185,6 +185,24 @@ def test_sigma_value_without_fixed_mode_is_refused(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_data_seed_with_data_is_refused(tmp_path, capsys):
+    # the seed would draw nothing while the config echoed it
+    csv = tmp_path / "p.csv"
+    csv.write_text("".join("%d,%d,%d\n" % (i, i * i % 7, i % 5) for i in range(80)))
+    inputs = ["--data", str(csv), "--data-seed", "77"]
+    split = ["--train", "40", "--test", "40"]
+    for argv in (["run", "--method", "lsh", "--k", "4"] + split + inputs
+                 + ["--out-prefix", str(tmp_path / "r")],
+                 ["sweep", "--methods", "lsh", "--k-list", "4"] + split + inputs
+                 + ["--out-prefix", str(tmp_path / "w")],
+                 ["theory-check", "--m", "15", "--ell", "8", "--seeds", "1"] + inputs
+                 + ["--out-prefix", str(tmp_path / "t")]):
+        capsys.readouterr()
+        assert main(argv) == 1, argv[0]
+        assert "--data-seed seeds --uniform points, not --data" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [csv]
+
+
 def test_run_data_problems_exit_two_with_a_message(tmp_path, capsys):
     same = tmp_path / "same.csv"
     same.write_text("1,2,3\n" * 12)

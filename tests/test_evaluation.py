@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from ssbc import (DataError, GuardError, ParameterError, column_norm_diagnostic,
-                  estimate_sigma_nn, evaluation, evaluate_retrieval, ground_truth,
-                  hamming_matrix, lsh_train, lsh_encode_batch, mean_average_precision,
+from ssbc import (DataError, GuardError, NumericalError, ParameterError,
+                  column_norm_diagnostic, estimate_sigma_nn, evaluation,
+                  evaluate_retrieval, ground_truth, hamming_matrix, lsh_train,
+                  lsh_encode_batch, mean_average_precision,
                   pr_curve, precision_recall, rank_by_hamming, retrieve_hamming,
                   spectral_norm, theory_spectral_check)
 from ssbc.affinity import _PAIR_BLOCK, _ROW_BLOCK, _row_blocks
@@ -545,6 +546,21 @@ def test_theory_check_validation():
         theory_spectral_check(pts, m=10, ell=8, seed=0, sigma=0.0)
     with pytest.raises(GuardError):
         theory_spectral_check(pts, m=10, ell=8, seed=0, sigma=0.5, guard=29)
+
+
+def test_theory_check_reports_a_column_sample_svd_failure(monkeypatch):
+    pts = synth_uniform(30, 4, 3).points
+    svd = np.linalg.svd
+
+    def svd_failing_on_the_sample(a, *args, **kwargs):
+        # the sketch's own (ell x m) SVDs run as before
+        if np.shape(a) == (30, 10):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_failing_on_the_sample)
+    with pytest.raises(NumericalError, match="SVD of the column sample failed"):
+        theory_spectral_check(pts, m=10, ell=8, seed=0, sigma=0.5)
 
 
 def test_column_norm_diagnostic_oracle():

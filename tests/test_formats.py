@@ -5,10 +5,9 @@ import pytest
 
 from ssbc import DataError, ParameterError
 from ssbc.affinity import _row_blocks
-from ssbc.formats import (CSV_HEADER, FORMAT_VERSION, dataset_meta,
-                          read_codes, report_payload, write_codes,
-                          write_json, write_reports_csv)
-from ssbc.data import synth_uniform
+from ssbc.cli import main
+from ssbc.formats import (CSV_HEADER, FORMAT_VERSION, read_codes, report_payload,
+                          write_codes, write_json, write_reports_csv)
 from ssbc.evaluation import EvalReport
 
 CODES = np.array([[1, 1, -1, 1], [-1, -1, -1, -1], [1, -1, 1, 1]], dtype=np.int8)
@@ -239,6 +238,15 @@ def test_read_codes_refuses_an_unknown_encoding_of_an_empty_body(tmp_path):
         read_codes(path)
 
 
+def test_read_codes_refuses_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "binary.codes"
+    path.write_bytes(b"# ssbc-codes format=1 method=m k=2 count=1 encoding=signs\n"
+                     b"# config {}\n+\xff\n")
+    with pytest.raises(DataError) as err:
+        read_codes(path)
+    assert str(err.value).startswith("cannot read %s: " % path)
+
+
 def sample_report():
     return EvalReport("lsh", 3, {"radius": 1, "seed": 0}, 0.5, 0.25, 0.75,
                       [(1.0, 0.0), (0.5, 0.25), (0.25, 0.5), (0.125, 1.0)])
@@ -266,9 +274,11 @@ def test_write_reports_csv(tmp_path):
     assert len(lines) == 8
 
 
-def test_dataset_meta():
-    ds = synth_uniform(10, 3, 5, name="demo")
-    meta = dataset_meta(ds, {"n": 10}, seed=5)
+def test_dataset_meta(tmp_path):
+    out = tmp_path / "demo.csv"
+    assert main(["synth", "--n", "10", "--d", "3", "--seed", "5", "--name", "demo",
+                 "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "demo.csv.meta.json").read_text())
     assert meta == {
         "format_version": FORMAT_VERSION,
         "name": "demo",
@@ -276,5 +286,6 @@ def test_dataset_meta():
         "d": 3,
         "provenance": "synthetic",
         "seed": 5,
-        "config": {"n": 10},
+        "config": {"command": "synth", "n": 10, "d": 3, "seed": 5, "name": "demo",
+                   "out": str(out)},
     }

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dlasd4
 
 from ssbc import (DataError, FdSketch, NumericalError, ParameterError, TrainSet,
-                  affinity_matrix, estimate_sigma_nn)
+                  affinity_matrix, estimate_sigma_nn, sketch)
 from ssbc.data import synth_uniform
 
 
@@ -415,6 +416,69 @@ def test_basis_read_right_after_a_shrink_takes_no_svd(monkeypatch):
             monkeypatch.setattr(np.linalg, "svd", svd)
             _assert_gapped_columns_match(sk, ref, ell - 1)
     assert sk.shrink_count >= 4 and calls == []
+
+
+def _unconverged_dlasd4(i, d, z, rho):
+    # LAPACK reports that root i did not converge
+    delta, sigma, work, _ = dlasd4(i, d, z, rho)
+    return delta, sigma, work, 1
+
+
+def _last_root_on_its_pole_dlasd4(i, d, z, rho):
+    # the last root at zero distance from every pole makes each recomputed
+    # zhat^2 zero
+    delta, sigma, work, info = dlasd4(i, d, z, rho)
+    if i == len(d) - 1:
+        delta = np.zeros_like(delta)
+    return delta, sigma, work, info
+
+
+@pytest.mark.parametrize("fake, roots_solved", [(_unconverged_dlasd4, "first"),
+                                                (_last_root_on_its_pole_dlasd4, "all")])
+def test_a_declined_arrowhead_decomposes_the_whole_buffer(monkeypatch, fake, roots_solved):
+    # every arrowhead is declined, so each shrink and each read with one row
+    # pending falls back to the full SVD of the buffer the reference takes
+    m, ell = 20, 6
+    rows = np.vstack([np.eye(m)[:ell] * [[3.0], [2.0], [1.5], [1.0], [1.0], [1.0]],
+                      np.random.default_rng(47).standard_normal((40, m))])
+    solved = []
+    monkeypatch.setattr(sketch, "dlasd4", lambda i, d, z, rho: (
+        solved.append((i, len(d))) or fake(i, d, z, rho)))
+    sk, ref = FdSketch(ell, m), FullSvdSketch(ell, m)
+    folded_reads = 0
+    for row in rows:
+        sk.insert(row)
+        ref.insert(row)
+        assert np.array_equal(sk.buffer, ref.buffer)
+        if sk._vt is not None and len(sk._pending) == 1:
+            folded_reads += 1
+            calls = len(solved)
+            assert np.array_equal(sk.basis(3), ref.basis(3))
+            assert len(solved) > calls
+    assert folded_reads >= 1 and sk.shrink_count == ref.shrink_count >= 6
+    started = sum(i == 0 for i, _ in solved)
+    finished = sum(i == n - 1 for i, n in solved)
+    assert started > 0
+    if roots_solved == "first":
+        assert len(solved) == started  # each declined at its first root
+    else:
+        assert finished == started  # each solved every root, then declined
+
+
+def test_an_svd_that_does_not_converge_raises_numerical_error(monkeypatch):
+    rows, ell = _wide_stream()
+    sk = FdSketch(ell, rows.shape[1])
+    for row in rows[:ell - 1]:
+        sk.insert(row)
+
+    def unconverged(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", unconverged)
+    with pytest.raises(NumericalError, match="SVD failed to converge"):
+        sk.basis(3)
+    with pytest.raises(NumericalError, match="SVD failed to converge"):
+        sk.insert(rows[ell - 1])
 
 
 def test_shrink_rejects_a_carried_basis_that_lost_orthogonality():

@@ -47,7 +47,16 @@ sigma_nn30 on the training points.
   and 2000 test points, trained at k = 50, so ell = 150 exceeds the
   affinity width m = 100, and the test points encoded by
   ssbc_encode_batch: the sha256 of the codes, the shrink_count and the
-  sha256 of the final buffer.
+  sha256 of the final buffer;
+* cli: 13 `ssbc` commands run by cli.main in an empty temporary directory
+  with relative paths, so no absolute path enters a config echo: synth,
+  run with each of the five methods, run with --include-train --packed,
+  run on the synthesized CSV with --zscore --sigma-mode all, run at a
+  sigma so small that it fails, three sweeps (one completed, one aborted
+  by --exact-guard, one whose ground truth fails) and theory-check. It
+  prints their exit codes, the number of files they leave other than the
+  .timings.json sidecars, and one sha256 over those files' names and
+  bytes.
 
 A ground truth's digest hashes its sets as int64, so it does not depend
 on the integer type that holds them.
@@ -60,8 +69,12 @@ Run it against each checkout's sources and compare:
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 
@@ -99,6 +112,50 @@ def _report(label, codes, sketch):
     print("%s codes=%s shrink_count=%d next_zero_row=%d buffer=%s"
           % (label, _sha(codes), sketch.shrink_count, sketch.next_zero_row,
              _sha(sketch.buffer)), flush=True)
+
+
+CLI_RUN = ["run", "--uniform", "400", "--dim", "8", "--train", "100", "--test", "300",
+           "--k", "12", "--seed", "5"]
+CLI_SWEEP = ["sweep", "--uniform", "300", "--dim", "6", "--train", "100",
+             "--test", "200", "--seed", "2", "--k-list", "8,12"]
+CLI_COMMANDS = (
+    ["synth", "--n", "300", "--d", "8", "--seed", "3", "--out", "u.csv"],
+    *(CLI_RUN + ["--method", method, "--out-prefix", method]
+      for method in ("ssbc_online", "ssbc_streaming", "lsh", "exact_d", "exact_r")),
+    CLI_RUN + ["--include-train", "--packed", "--out-prefix", "packed"],
+    ["run", "--data", "u.csv", "--zscore", "--sigma-mode", "all", "--train", "100",
+     "--test", "200", "--k", "10", "--out-prefix", "csv"],
+    ["run", "--uniform", "300", "--dim", "10", "--train", "60", "--test", "100",
+     "--k", "4", "--method", "ssbc_online", "--sigma-mode", "fixed",
+     "--sigma-value", "1e-6", "--out-prefix", "zero"],
+    CLI_SWEEP + ["--methods", "ssbc_streaming,lsh", "--out-prefix", "sweep"],
+    CLI_SWEEP + ["--methods", "lsh,exact_d", "--exact-guard", "5",
+                 "--out-prefix", "guarded"],
+    CLI_SWEEP + ["--methods", "lsh", "--truth-threshold", "0", "--out-prefix", "truth"],
+    ["theory-check", "--uniform", "150", "--dim", "6", "--m", "30", "--ell", "10",
+     "--seeds", "3", "--out-prefix", "theory"],
+)
+
+
+def _cli_line():
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                exits = [cli.main(argv) for argv in CLI_COMMANDS]
+        finally:
+            os.chdir(start)
+        names = sorted(name for name in os.listdir(tmp)
+                       if not name.endswith(".timings.json"))
+        digest = hashlib.sha256()
+        for name in names:
+            with open(os.path.join(tmp, name), "rb") as handle:
+                digest.update(name.encode() + b"\0" + handle.read() + b"\0")
+    print("cli commands=%d exits=%s files=%d sha256=%s"
+          % (len(exits), ",".join(map(str, exits)), len(names), digest.hexdigest()),
+          flush=True)
 
 
 def main():
@@ -178,6 +235,7 @@ def main():
     print("tall m=100 ell=%d n=2000 k=50 codes=%s shrink_count=%d buffer=%s"
           % (model.sketch.ell, _sha(codes), model.sketch.shrink_count,
              _sha(model.sketch.buffer)), flush=True)
+    _cli_line()
 
 
 if __name__ == "__main__":
