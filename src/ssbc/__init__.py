@@ -1,13 +1,10 @@
 """Streaming spectral binary coding with baselines and a retrieval benchmark.
 
-Core pipeline: Gaussian affinity vectors of a point stream are fed through
-a Frequent Directions sketch; a point's binary codeword is the sign of its
-affinity vector projected onto the sketch's top-k right singular vectors.
-Baselines (random-hyperplane LSH and exact eigendecomposition codes), a
-precision/recall/MAP harness, and an empirical checker for the sketch's
-spectral guarantees round out the package. Codewords are int8 arrays with
-entries in {-1, +1}; all randomness comes from seeded numpy default_rng
-(PCG64) generators.
+ssbc.encoder codes points through a Frequent Directions sketch
+(ssbc.sketch) of Gaussian affinity vectors (ssbc.affinity).
+ssbc.baselines holds random-hyperplane LSH and exact eigendecomposition
+codes, and ssbc.evaluation scores codes and checks the sketch's spectral
+guarantees.
 """
 
 from .affinity import (TrainSet, affinity_matrix, affinity_vector,

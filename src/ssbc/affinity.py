@@ -5,11 +5,11 @@ divisor is sigma, not sigma squared, and the bandwidth estimators average
 raw (not squared) distances; the resulting unit mismatch is deliberate and
 preserved because it is how the estimators are defined downstream of us.
 
-Affinity rows are built in place on their cdist output, and the bandwidth
-estimators stream blocks of distance rows, so neither holds an m x m
-distance array. Per pair, a block's cdist value equals the full cdist
-value, so blocking changes no result. _row_blocks is the one block rule
-of every streamed pass: training, encoding, the estimators and evaluation.
+The bandwidth estimators stream blocks of distance rows, so neither holds
+an m x m distance array. Per pair, a block's cdist value equals the full
+cdist value, so blocking changes no result. _row_blocks is the one block
+rule of every streamed pass: training, encoding, the estimators and
+evaluation.
 """
 
 import itertools

@@ -1,12 +1,10 @@
 """Reference encoders: random-hyperplane LSH and exact eigendecomposition codes.
 
-LSH is data independent: bit j of a point is the sign of its dot product
-with the j-th column of a fixed Gaussian matrix (no centering, no bias).
-The exact methods build the full Gaussian affinity matrix W of the point
-set, solve for its top-k eigenvectors only, anchor their signs by the rule
-of FdSketch.basis (sketch._anchored), and sign them, either directly
-(exact_d) or after a Haar-random k x k rotation of the code space
-(exact_r). Both exist to give the sketch-based encoder something to beat.
+LSH is data independent: its Gaussian projections never see the points,
+which it neither centers nor offsets by a bias. The exact codes anchor
+their eigenvectors' signs by the rule of FdSketch.basis
+(sketch._anchored). Both exist to give the sketch-based encoder something
+to beat.
 """
 
 import numpy as np

@@ -2,8 +2,10 @@
 
 Each setting is declared once, by its argparse option, and the parsed
 arguments are the configuration: every output file echoes under "config"
-the settings its command reads (--data-seed and --split-seed resolved to
---seed when unset) and the values it derived from them (resolved_*).
+every option of its command (--data-seed and --split-seed resolved to
+--seed when unset) and the values it derived from them (resolved_*). A
+--uniform run therefore echoes the --data options, and a --data run
+--dim, each at its default, the one value it can hold there.
 
 Exit codes: 0 success, 1 usage or parameter problems, 2 data problems,
 3 numerical failures or size-guard violations. Every seeded command is
@@ -13,6 +15,7 @@ environment variable sets the default output directory.
 """
 
 import argparse
+import contextlib
 import itertools
 import os
 import sys
@@ -26,6 +29,15 @@ from .errors import DataError, GuardError, ParameterError, SsbcError, check_int
 
 METHODS = ("ssbc_online", "ssbc_streaming", "lsh", "exact_d", "exact_r")
 SIGMA_MODES = ("nn30", "all", "nn30_div4", "fixed")
+# the options only one data source reads: that source, and what the option does
+_SOURCE_ONLY = {
+    "dim": ("--uniform", "sizes --uniform points"),
+    "data_seed": ("--uniform", "seeds --uniform points"),
+    "delimiter": ("--data", "splits --data rows"),
+    "has_header": ("--data", "skips a --data header"),
+    "drop_columns": ("--data", "drops --data columns"),
+    "drop_missing_rows": ("--data", "drops --data rows"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -175,18 +187,27 @@ def build_parser():
 
 
 def _echo(args, **resolved):
-    """The settings a command read, as parsed, plus the values it resolved."""
+    """The command's options, as parsed, plus the values it resolved."""
     settings = {key: val for key, val in vars(args).items()
                 if key not in ("command", "func", "out_prefix")}
     return dict(settings, **resolved)
 
 
 def _load_dataset(args):
-    """The points --data or --uniform names; unset seeds take --seed first."""
+    """The points --data or --uniform names; unset seeds take --seed first.
+
+    An option only the other source reads is refused unless it holds its
+    default, which cannot be told from no value.
+    """
     if (args.data is None) == (args.uniform is None):
         raise ParameterError("exactly one of --data and --uniform is required")
-    if args.data is not None and args.data_seed is not None:
-        raise ParameterError("--data-seed seeds --uniform points, not --data")
+    source = "--uniform" if args.data is None else "--data"
+    declared = argparse.ArgumentParser()
+    _add_input_args(declared)
+    for name, (reader, does) in _SOURCE_ONLY.items():
+        if reader != source and vars(args)[name] != declared.get_default(name):
+            raise ParameterError("--%s %s, not %s"
+                                 % (name.replace("_", "-"), does, source))
     for name in ("data_seed", "split_seed"):
         if name in vars(args) and vars(args)[name] is None:
             setattr(args, name, args.seed)
@@ -226,10 +247,8 @@ def _resolve_sigma(points, args):
     return sigma
 
 
-def _prepared_split(args, timings):
-    """The training set (points and resolved sigma) and the test points,
-    timed as "prepare"."""
-    t0 = time.perf_counter()
+def _prepared_split(args):
+    """The training set (points and resolved sigma) and the test points."""
     ds = _load_dataset(args)
     spec = data.SplitSpec(args.train, args.test, args.split_seed)
     train_ds, test_ds = data.split(ds, spec)
@@ -237,7 +256,6 @@ def _prepared_split(args, timings):
         raise DataError("split left train=%d test=%d points; need at least 1 and 2"
                         % (train_ds.n, test_ds.n))
     train = TrainSet(train_ds.points, _resolve_sigma(train_ds.points, args))
-    timings["prepare"] = time.perf_counter() - t0
     return train, test_ds.points
 
 
@@ -271,28 +289,25 @@ def _encode(args, train_set, test_points, include_train):
     return test_codes, train_codes
 
 
-def _ground_truth(args, train, test_points, timings):
-    """Similar pairs among the test points, shared by every (method, k) cell."""
-    t0 = time.perf_counter()
-    truth = evaluation.ground_truth(test_points, test_points, train.sigma,
-                                    threshold=args.truth_threshold)
-    timings["truth"] = time.perf_counter() - t0
-    return truth
+@contextlib.contextmanager
+def _phase(timings, name):
+    """Record the wall-clock seconds of the with-block as timings[name], the
+    one writer of a .timings.json entry. A block that raises records nothing."""
+    start = time.perf_counter()
+    yield
+    timings[name] = time.perf_counter() - start
 
 
 def _run_once(args, train, test_points, truth, timings, include_train=False):
     k = args.k
-    t0 = time.perf_counter()
-    test_codes, train_codes = _encode(args, train, test_points, include_train)
-    t1 = time.perf_counter()
+    with _phase(timings, "%s_k%d_encode" % (args.method, k)):
+        test_codes, train_codes = _encode(args, train, test_points, include_train)
     radius = k // 4 if args.hamming_radius == "sweep" else args.hamming_radius
     config = _echo(args, resolved_sigma=train.sigma, resolved_threshold=truth.threshold,
                    resolved_radius=radius)
-    report = evaluation.evaluate_retrieval(args.method, test_codes, test_codes,
-                                           truth, radius, params=config)
-    t2 = time.perf_counter()
-    timings["%s_k%d_encode" % (args.method, k)] = t1 - t0
-    timings["%s_k%d_eval" % (args.method, k)] = t2 - t1
+    with _phase(timings, "%s_k%d_eval" % (args.method, k)):
+        report = evaluation.evaluate_retrieval(args.method, test_codes, test_codes,
+                                               truth, radius, params=config)
     return report, config, test_codes, train_codes
 
 
@@ -316,8 +331,11 @@ def cmd_run(args):
         raise ParameterError("--include-train does not apply to %s: it codes only "
                              "the points it decomposes" % args.method)
     timings = {}
-    train, test_points = _prepared_split(args, timings)
-    truth = _ground_truth(args, train, test_points, timings)
+    with _phase(timings, "prepare"):
+        train, test_points = _prepared_split(args)
+    with _phase(timings, "truth"):
+        truth = evaluation.ground_truth(test_points, test_points, train.sigma,
+                                        threshold=args.truth_threshold)
     report, config, test_codes, train_codes = _run_once(
         args, train, test_points, truth, timings, args.include_train)
 
@@ -336,7 +354,8 @@ def cmd_run(args):
 
 def cmd_sweep(args):
     timings = {}
-    train, test_points = _prepared_split(args, timings)
+    with _phase(timings, "prepare"):
+        train, test_points = _prepared_split(args)
 
     prefix = _out_prefix(args, "sweep_seed%d" % args.seed)
     threshold = train.sigma if args.truth_threshold is None else args.truth_threshold
@@ -352,7 +371,9 @@ def cmd_sweep(args):
         cell = argparse.Namespace(**shared, method=method, k=k)
         try:
             if truth is None:
-                truth = _ground_truth(cell, train, test_points, timings)
+                with _phase(timings, "truth"):
+                    truth = evaluation.ground_truth(test_points, test_points, train.sigma,
+                                                    threshold=args.truth_threshold)
             reports.append(_run_once(cell, train, test_points, truth, timings)[0])
         except SsbcError as exc:
             failures.append((method, k, type(exc).__name__))
@@ -377,14 +398,12 @@ def cmd_theory_check(args):
         raise GuardError("n=%d exceeds guard %d" % (ds.n, args.guard))
     sigma = _resolve_sigma(ds.points, args)
 
-    runs = []
     timings = {}
-    t0 = time.perf_counter()
-    for seed in range(args.seed, args.seed + args.seeds):
-        runs.append(evaluation.theory_spectral_check(
-            ds.points, args.m, args.ell, seed, sigma,
-            exhaustive=args.exhaustive, rcond=args.rcond, guard=args.guard))
-    timings["checks"] = time.perf_counter() - t0
+    with _phase(timings, "checks"):
+        runs = [evaluation.theory_spectral_check(ds.points, args.m, args.ell, seed, sigma,
+                                                 exhaustive=args.exhaustive,
+                                                 rcond=args.rcond, guard=args.guard)
+                for seed in range(args.seed, args.seed + args.seeds)]
     cols = evaluation.column_norm_diagnostic(ds.points, sigma, guard=args.guard)
     medians = {key: float(np.median([r[key] for r in runs]))
                for key in ("errW2", "errHat", "errTilde")}

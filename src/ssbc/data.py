@@ -64,7 +64,7 @@ def _parse_cell(cell):
 
 def load_csv(path, delimiter=",", has_header=False, drop_columns=(),
              drop_rows_with_missing=False):
-    """Read a numeric CSV into a Dataset.
+    """Read a numeric CSV into a Dataset named after its file.
 
     delimiter is one character. has_header skips the first non-empty row.
     drop_columns lists 0-based integer indices (counted before dropping) to

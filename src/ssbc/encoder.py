@@ -1,29 +1,17 @@
 """Streaming spectral binary coding.
 
-Training streams the affinity vectors of the training points themselves
-through a Frequent Directions sketch. A point's codeword is the sign of
-its affinity vector projected onto the first k right singular vectors of
-the sketch buffer. Two emission modes exist:
-
-* online: each point's affinity row is inserted and its code read from the
-  basis immediately afterwards, so early codes come from earlier bases;
-* streaming (batch): all rows are inserted first and every code is read
-  from the final basis.
-
-For a stationary basis the two agree, and they always agree on the last
-point processed. Ties sign(0) are broken to +1. Affinity rows are inserted
-unscaled: rescaling every row by a common factor changes neither the right
+A point's codeword is the sign of its affinity vector projected onto the
+first k right singular vectors of a Frequent Directions sketch of
+affinity rows. For a stationary basis, online codes (ssbc_process_online)
+and batch codes (ssbc_encode_batch) agree, and they always agree on the
+last point processed. Affinity rows are inserted unscaled:
+rescaling every row by a common factor changes neither the right
 singular vectors nor any projection sign.
 
 Training and batch encoding stream affinity rows in the blocks of
 affinity._row_blocks, so they hold one block of rows, never the m x m
 training affinity or the n x m test affinities. Every point is checked
 before the first insert, so a bad point leaves the sketch as it was.
-project_codes signs a frozen basis against a second pass over the same
-blocks. Its rows equal the dense rows bit for bit, but a block's product
-can differ from one dense product in the last bit where OpenBLAS takes
-its small-matrix kernel for a short block; a code bit can then differ
-only where a projection lies within rounding of zero.
 """
 
 import math
@@ -100,7 +88,13 @@ def _insert_points(sketch, points, train):
 
 def project_codes(points, train, basis):
     """Codes of points under a frozen basis, without inserting them: the
-    signs of each point's affinity row projected on the basis columns."""
+    signs of each point's affinity row projected on the basis columns.
+
+    A block's affinity rows equal the dense rows bit for bit, but its
+    product can differ from one dense product in the last bit where
+    OpenBLAS takes its small-matrix kernel for a short block; a code bit
+    can then differ only where a projection lies within rounding of zero.
+    """
     codes = np.empty((points.shape[0], basis.shape[1]), dtype=np.int8)
     for rows, block in _affinity_blocks(points, train):
         codes[rows] = signs(block @ basis)

@@ -1,36 +1,24 @@
 """Retrieval metrics, ground truth, and empirical checks of the sketch guarantees.
 
-Metric conventions: a query that returns nothing has precision 1, a query
-whose true similar set is empty has recall 1, and such queries are left
-out of MAP entirely. Per-query values are single integer-ratio divisions
-and means use math.fsum, so results are reproducible bit for bit against
-a brute-force reimplementation of the same definitions.
+precision_recall and mean_average_precision state the metric conventions.
+Per-query values are single integer-ratio divisions and means use
+math.fsum, so results are reproducible bit for bit against a brute-force
+reimplementation of the same definitions.
 
 Ground truth and evaluation each make one pass over the query blocks of
-affinity._row_blocks, so neither builds an n x n array. When queries and
-base are equal arrays, query i's match to base i is dropped. Per block:
+affinity._row_blocks, so neither builds an n x n array. Per block of the
+evaluation:
 
 * Hamming distances come from one float32 BLAS product per block (float64
   for codes longer than 2**23 bits). For +-1 codes of length k, q.b counts
   agreements minus disagreements, so the distance is (k - q.b) / 2. This
   is exact in whatever order BLAS adds: every partial sum is an integer of
   magnitude at most k, and k - q.b one of at most 2k <= 2**24, all of which
-  float32 holds exactly. The
-  block is cast to the smallest unsigned type that holds k + 1 (uint8 up
-  to k = 254, uint16 above), and an excluded self match is set to k + 1,
-  beyond every radius.
+  float32 holds exactly. The block is cast to the smallest unsigned type
+  that holds k + 1 (uint8 up to k = 254, uint16 above).
 * MAP reads each relevant item's rank off one stable argsort of the block's
   rows, so ties keep index order. numpy radix-sorts integers of 16 bits or
-  less. An excluded self sorts last and is never a hit.
-* Ground truth compares the Gram form ||q||^2 + ||b||^2 - 2 q.b with
-  threshold^2 on both sides of a rounding slack that scales with
-  ||q||^2 + ||b||^2 + threshold^2 (both bounds derived in ground_truth).
-  Pairs above the upper bound are dropped and pairs below the lower bound
-  are kept without a cdist call; only the band in between is confirmed by
-  its exact cdist distance. Each set therefore equals
-  cdist(queries, base) <= threshold. The sets are held as one flat array
-  of the smallest index type from int16 up, plus an offset per query, and
-  the sweep reads them by slices of that array.
+  less.
 """
 
 import math
@@ -64,7 +52,8 @@ def _code_pair(codes_query, codes_base):
 
 def _hamming_block(q, b, rows, exclude):
     """Hamming distances from the query rows of the slice rows to every base
-    code; with exclude, query i's distance to base i reads k + 1."""
+    code; with exclude, query i's distance to base i reads k + 1, beyond
+    every radius."""
     k = q.shape[1]
     prod = q[rows] @ b.T
     np.subtract(k, prod, out=prod)

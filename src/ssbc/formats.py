@@ -1,13 +1,14 @@
 """On-disk formats: codes files, JSON reports and documents, flat CSV reports.
 
-Every file embeds the resolved run configuration and a format version.
-JSON is written with sorted keys and no timestamps so a rerun with the
-same seed produces byte-identical bytes; wall-clock timings therefore go
-to a separate sidecar file that is exempt from that guarantee.
+Every file embeds the resolved run configuration and holds no timestamp,
+so a rerun with the same seed writes the same bytes; wall-clock timings
+therefore go to a separate sidecar file that is exempt from that
+guarantee.
 
-Codes file layout: a header line with the method, code length and row
-count, a config line, then one codeword per line, either as a +/- string
-or hex-packed bits (bit 1 encodes +1, most significant bit first).
+Codes file layout: a header line with the format version, method, code
+length, row count and encoding, a config line, then one codeword per
+line, either as a +/- string or hex-packed bits (bit 1 encodes +1, most
+significant bit first, zero padding in the last byte).
 """
 
 import json

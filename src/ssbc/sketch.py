@@ -1,25 +1,21 @@
 """Frequent Directions sketch over a stream of m-dimensional rows.
 
-FD keeps an ell x m buffer B. Each row goes into a zero row of B; when
-none is left, a shrink takes the SVD of B, subtracts delta, the ell-th
-squared singular value, from every squared singular value (clamping at
-zero), and sets B = diag(s') V^T. Over the stream A this guarantees
-||A^T A - B^T B||_2 <= 2 ||A||_F^2 / ell, with A^T A - B^T B positive
-semidefinite. s' and delta come from one squared array (s2 = s * s,
-delta = s2[ell-1]): a separately squared delta can differ by one ulp and
-leave the last value a tiny positive number instead of zero, and B no
-free row.
+FD keeps an ell x m buffer B of the rows A streamed so far, and
+A^T A - B^T B stays positive semidefinite; FdSketch states the bound on
+its norm. A shrink's delta and shrunk singular values s' come from one
+squared array (s2 = s * s, delta = s2[ell-1]): a separately squared delta
+can differ by one ulp and leave the last value a tiny positive number
+instead of zero, and B no free row.
 
-FdSketch carries B's factors and factors B in one of two ways; _svd says
-when each is taken. One is a full SVD of B. The other folds one new row
-into the carried factors, as before nearly every shrink (Brand 2006,
-"Fast low-rank modifications of the thin SVD"), through the SVD of the
-arrowhead core K = [[diag(s), 0], [p, rho]] of _updated_svd:
-K^T K = diag(s^2, 0) + z z^T with z = [p, rho], a rank-one update of a
-diagonal. LAPACK dlasd4 finds its roots one by one (Gu & Eisenstat 1995,
-"A divide-and-conquer algorithm for the bidiagonal SVD"), and the vectors
-(D^2 - sigma_i^2)^-1 z use a z recomputed from the roots by the Loewner
-formula, as dlasd8 does, so they are orthogonal by construction.
+FdSketch factors B in one of two ways, and _svd says when each is taken:
+one full SVD of B, or a fold of one new row into the carried factors
+(Brand 2006, "Fast low-rank modifications of the thin SVD") through the
+SVD of the arrowhead core K of _updated_svd. K^T K = diag(s^2, 0) + z z^T
+with z = [p, rho] is a rank-one update of a diagonal. LAPACK dlasd4 finds
+its roots one by one (Gu & Eisenstat 1995, "A divide-and-conquer
+algorithm for the bidiagonal SVD"), and the vectors (D^2 - sigma_i^2)^-1 z
+use a z recomputed from the roots by the Loewner formula, as dlasd8 does,
+so they are orthogonal by construction.
 
 The memory layout in that solve is part of its result. dlasd4's roots are
 stored one per row of gap (gap[i, j] = d_j^2 - sigma_i^2), and each Loewner

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -201,6 +202,55 @@ def test_data_seed_with_data_is_refused(tmp_path, capsys):
         assert main(argv) == 1, argv[0]
         assert "--data-seed seeds --uniform points, not --data" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [csv]
+
+
+def test_options_of_the_other_data_source_are_refused(tmp_path, capsys):
+    # each would be echoed in the config while the loaded points ignore it
+    csv = tmp_path / "p.csv"
+    csv.write_text("".join("%d,%d,%d\n" % (i, i * i % 7, i % 5) for i in range(80)))
+    commands = (["run", "--method", "lsh", "--k", "4", "--train", "40", "--test", "40"],
+                ["sweep", "--methods", "lsh", "--k-list", "4", "--train", "40",
+                 "--test", "40"],
+                ["theory-check", "--m", "15", "--ell", "8", "--seeds", "1"])
+    refused = ((["--uniform", "80", "--delimiter", ";"], "--delimiter splits --data rows"),
+               (["--uniform", "80", "--has-header"], "--has-header skips a --data header"),
+               (["--uniform", "80", "--drop-columns", "3"],
+                "--drop-columns drops --data columns"),
+               (["--uniform", "80", "--drop-missing-rows"],
+                "--drop-missing-rows drops --data rows"),
+               (["--data", str(csv), "--dim", "999"], "--dim sizes --uniform points"))
+    for command in commands:
+        for inputs, message in refused:
+            argv = command + inputs + ["--out-prefix", str(tmp_path / "x")]
+            capsys.readouterr()
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("ssbc: ParameterError: ") and message in err, err
+    assert list(tmp_path.iterdir()) == [csv]
+    # a value equal to the default cannot be told from no value
+    assert main(commands[0] + ["--data", str(csv), "--dim", "50",
+                               "--out-prefix", str(tmp_path / "d")]) == 0
+
+
+def test_timings_keep_one_entry_per_phase(tmp_path):
+    assert main(run_args(tmp_path, "r", "--method", "lsh")) == 0
+    timings = json.loads((tmp_path / "r.timings.json").read_text())["timings"]
+    assert set(timings) == {"prepare", "truth", "lsh_k6_encode", "lsh_k6_eval"}
+    assert all(seconds >= 0.0 for seconds in timings.values())
+
+    # a phase that raises records nothing: exact_d fails its guard while encoding
+    assert main(["sweep", "--uniform", "80", "--dim", "6", "--train", "40",
+                 "--test", "40", "--methods", "lsh,exact_d", "--k-list", "4,6",
+                 "--exact-guard", "5", "--out-prefix", str(tmp_path / "sw")]) == 3
+    timings = json.loads((tmp_path / "sw.timings.json").read_text())["timings"]
+    assert set(timings) == {"prepare", "truth", "lsh_k4_encode", "lsh_k4_eval",
+                            "lsh_k6_encode", "lsh_k6_eval"}
+
+    assert main(["theory-check", "--uniform", "40", "--dim", "4", "--m", "15",
+                 "--ell", "8", "--seeds", "2",
+                 "--out-prefix", str(tmp_path / "t")]) == 0
+    timings = json.loads((tmp_path / "t.timings.json").read_text())["timings"]
+    assert set(timings) == {"checks"}
 
 
 def test_run_data_problems_exit_two_with_a_message(tmp_path, capsys):
@@ -415,25 +465,36 @@ def test_each_config_echo_names_what_its_command_reads(tmp_path):
                           "--out-prefix", str(tmp_path / "tt")]) == 1
 
 
-def _run_in_subprocess(tmp_path, tag, threads, command):
+def _run_in_subprocess(tmp_path, tag, command, **env_vars):
+    """Run one ssbc command in a fresh interpreter with env_vars set (a value
+    of None unsets the variable). Returns the output prefix and everything
+    the process printed."""
     paths = [os.path.dirname(os.path.dirname(ssbc.__file__)),
              os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    prefix = str(tmp_path / ("%s_t%d" % (tag, threads)))
-    subprocess.run([sys.executable, "-m", "ssbc.cli"] + command
-                   + ["--uniform", "1000", "--train", "200", "--test", "800",
-                      "--seed", "7", "--out-prefix", prefix],
-                   env=env, check=True, stdout=subprocess.DEVNULL, timeout=300)
-    return prefix
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    for name, value in env_vars.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
+    prefix = str(tmp_path / tag)
+    done = subprocess.run([sys.executable, "-m", "ssbc.cli"] + command
+                          + ["--uniform", "1000", "--train", "200", "--test", "800",
+                             "--seed", "7", "--out-prefix", prefix],
+                          env=env, check=True, capture_output=True, text=True,
+                          timeout=300)
+    return prefix, done.stdout + done.stderr
 
 
-def _assert_same_under_one_and_two_threads(tmp_path, tag, command, suffixes):
-    one = _run_in_subprocess(tmp_path, tag, 1, command)
-    two = _run_in_subprocess(tmp_path, tag, 2, command)
+def _assert_same_bytes(one, two, suffixes):
     for suffix in suffixes:
         with open(one + suffix, "rb") as a, open(two + suffix, "rb") as b:
             assert a.read() == b.read(), suffix
+
+
+def _assert_same_under_one_and_two_threads(tmp_path, tag, command, suffixes):
+    one, _ = _run_in_subprocess(tmp_path, tag + "_t1", command, OPENBLAS_NUM_THREADS="1")
+    two, _ = _run_in_subprocess(tmp_path, tag + "_t2", command, OPENBLAS_NUM_THREADS="2")
+    _assert_same_bytes(one, two, suffixes)
 
 
 @pytest.mark.parametrize("method", ["ssbc_streaming", "ssbc_online", "lsh",
@@ -449,3 +510,39 @@ def test_sweep_outputs_do_not_depend_on_blas_threads(tmp_path):
         tmp_path, "sweep",
         ["sweep", "--methods", "ssbc_streaming,lsh", "--k-list", "8,16"],
         (".report.json", ".report.csv"))
+
+
+def _cores(printed):
+    """The kernels named by the Core lines OPENBLAS_VERBOSE=2 prints, one per
+    OpenBLAS that numpy and scipy load."""
+    return [line.split()[1] for line in printed.splitlines()
+            if line.startswith("Core: ")]
+
+
+def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OPENBLAS_CORETYPE picks another kernel only in a DYNAMIC_ARCH OpenBLAS,
+    # the one build whose Core line says which kernel it took
+    if platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("the forced kernels are x86-64 ones")
+    commands = {
+        "run": (["run", "--k", "20", "--method", "ssbc_online"],
+                (".codes", ".report.json", ".report.csv")),
+        "sweep": (["sweep", "--methods", "ssbc_streaming,lsh,exact_r", "--k-list", "8,16"],
+                  (".report.json", ".report.csv")),
+    }
+    default = {}
+    for name, (command, _) in commands.items():
+        default[name], printed = _run_in_subprocess(
+            tmp_path, name, command, OPENBLAS_VERBOSE="2", OPENBLAS_CORETYPE=None)
+        if not _cores(printed):
+            pytest.skip("the BLAS is not a DYNAMIC_ARCH OpenBLAS: "
+                        "OPENBLAS_VERBOSE=2 named no kernel")
+    # Prescott runs the kernels OpenBLAS names Katmai
+    for kernel, core in (("Haswell", "Haswell"), ("Prescott", "Katmai")):
+        for name, (command, suffixes) in commands.items():
+            prefix, printed = _run_in_subprocess(
+                tmp_path, name + "_" + kernel, command, OPENBLAS_VERBOSE="2",
+                OPENBLAS_CORETYPE=kernel)
+            cores = _cores(printed)
+            assert cores and set(cores) == {core}, (kernel, printed)
+            _assert_same_bytes(default[name], prefix, suffixes)

@@ -11,6 +11,7 @@ from ssbc import (DataError, FdSketch, ParameterError, SsbcModel, SsbcParams,
                   hamming_matrix, sign_project, signs, ssbc_encode_batch,
                   ssbc_process_online, ssbc_train)
 from ssbc.data import synth_uniform
+from ssbc.sketch import _anchored
 from test_sketch import FullSvdSketch
 
 
@@ -197,6 +198,57 @@ def test_batch_codes_equal_anchored_exact_codes_bit_for_bit():
         codes = ssbc_encode_batch(model, pts)
         exact = exact_codes(pts, k + 1, sigma).codes[:, :k]
         assert np.array_equal(codes, exact), seed
+
+
+def _criterion_5_split(seed):
+    """Acceptance criterion 5's training set (sigma_nn30) and test points."""
+    pts = synth_uniform(2500, 50, seed).points
+    perm = np.random.default_rng(seed).permutation(2500)
+    train = pts[perm[:500]]
+    return TrainSet(train, estimate_sigma_nn(train, 30)), pts[perm[500:]]
+
+
+def _exact_stream(train, test, k):
+    """The streamed matrix A (the training points' affinity rows, then the
+    test points') and its anchored top-k right singular vectors."""
+    a = np.vstack([affinity_matrix(train.points, train), affinity_matrix(test, train)])
+    return a, _anchored(np.linalg.svd(a, full_matrices=False)[2][:k].T)
+
+
+@pytest.mark.parametrize("k", [20, 30])
+def test_batch_codes_equal_exact_stream_codes_at_the_criterion_5_point(k):
+    # the paper's claim that streaming codes equal exact ones, at its own
+    # operating point: the shrinks discard too little mass to move a bit
+    train, test = _criterion_5_split(1000)
+    model = ssbc_train(train, SsbcParams(k, 0.5))
+    codes = ssbc_encode_batch(model, test)
+    _, basis = _exact_stream(train, test, k)
+    sketch = model.sketch
+    certificate = sketch.shrinkage / (sketch.frobenius_sq / sketch.ell)
+    assert np.array_equal(codes, signs(affinity_matrix(test, train) @ basis)), certificate
+
+
+def test_lossy_shrinks_stay_certified_and_near_exact_stream_codes():
+    # at sigma_nn30 / 16 the affinity mass spreads over many directions, and
+    # at epsilon = 1 (ell = 60) the shrinks discard enough of it to move bits
+    train, test = _criterion_5_split(1000)
+    train = TrainSet(train.points, train.sigma / 16)
+    model = ssbc_train(train, SsbcParams(30, 1.0))
+    codes = ssbc_encode_batch(model, test)
+    sketch = model.sketch
+    a, basis = _exact_stream(train, test, 30)
+    b = sketch.buffer
+    fro2 = sketch.frobenius_sq
+    assert np.linalg.norm(a.T @ a - b.T @ b, 2) <= sketch.shrinkage + 1e-9 * fro2
+    assert sketch.shrinkage <= fro2 / sketch.ell
+    # where two entries of a column are near in magnitude, the anchor rule
+    # can sign the sketch and exact columns apart, so agreement is counted
+    # after each exact column is signed to agree with the sketch's
+    flips = np.sum(basis * sketch.basis(30), axis=0) < 0
+    exact = signs(affinity_matrix(test, train) @ basis)
+    aligned = np.mean(codes == np.where(flips, -exact, exact))
+    assert aligned >= 0.995, ("aligned", aligned, "raw", np.mean(codes == exact),
+                              "flipped columns", np.flatnonzero(flips))
 
 
 def test_batch_codes_match_full_svd_reference_sketch():

@@ -56,7 +56,16 @@ sigma_nn30 on the training points.
   by --exact-guard, one whose ground truth fails) and theory-check. It
   prints their exit codes, the number of files they leave other than the
   .timings.json sidecars, and one sha256 over those files' names and
-  bytes.
+  bytes;
+* cli-portable: the same sha256 without the .theory.json files, whose
+  floats depend on the BLAS kernel; the other files printed the same
+  under every OpenBLAS kernel tried;
+* lossy: the seed-1000 split trained and encoded by ssbc_encode_batch at
+  k = 30, epsilon = 1.0 (ell = 60) and a sigma of sigma_nn30 / 16, where
+  the shrinks discard enough mass that the codes differ from the exact
+  ones in some bits: the sha256 of
+  the codes, the shrink_count, the shrinkage as a hex float and the
+  sha256 of the final buffer.
 
 A ground truth's digest hashes its sets as int64, so it does not depend
 on the integer type that holds them.
@@ -150,12 +159,19 @@ def _cli_line():
         names = sorted(name for name in os.listdir(tmp)
                        if not name.endswith(".timings.json"))
         digest = hashlib.sha256()
+        portable = hashlib.sha256()
         for name in names:
             with open(os.path.join(tmp, name), "rb") as handle:
-                digest.update(name.encode() + b"\0" + handle.read() + b"\0")
+                entry = name.encode() + b"\0" + handle.read() + b"\0"
+            digest.update(entry)
+            if not name.endswith(".theory.json"):
+                portable.update(entry)
     print("cli commands=%d exits=%s files=%d sha256=%s"
           % (len(exits), ",".join(map(str, exits)), len(names), digest.hexdigest()),
           flush=True)
+    print("cli-portable files=%d sha256=%s"
+          % (sum(not name.endswith(".theory.json") for name in names),
+             portable.hexdigest()), flush=True)
 
 
 def main():
@@ -236,6 +252,13 @@ def main():
           % (model.sketch.ell, _sha(codes), model.sketch.shrink_count,
              _sha(model.sketch.buffer)), flush=True)
     _cli_line()
+    train, test = _split(1000)
+    model = ssbc_train(TrainSet(train.points, train.sigma / 16), SsbcParams(30, 1.0))
+    codes = ssbc_encode_batch(model, test)
+    print("lossy seed=1000 sigma=nn30/16 k=30 ell=%d codes=%s shrink_count=%d "
+          "shrinkage=%s buffer=%s"
+          % (model.sketch.ell, _sha(codes), model.sketch.shrink_count,
+             model.sketch.shrinkage.hex(), _sha(model.sketch.buffer)), flush=True)
 
 
 if __name__ == "__main__":
