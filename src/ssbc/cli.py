@@ -247,6 +247,14 @@ def _resolve_sigma(points, args):
     return sigma
 
 
+def _check_radius(args, ks):
+    """Refuse a --radius outside [0, k] for any k before any work, with the
+    message evaluate_retrieval would give."""
+    if args.hamming_radius != "sweep":
+        for k in ks:
+            check_int(args.hamming_radius, "radius", 0, k)
+
+
 def _prepared_split(args):
     """The training set (points and resolved sigma) and the test points."""
     ds = _load_dataset(args)
@@ -330,6 +338,7 @@ def cmd_run(args):
     if args.include_train and args.method in ("exact_d", "exact_r"):
         raise ParameterError("--include-train does not apply to %s: it codes only "
                              "the points it decomposes" % args.method)
+    _check_radius(args, [args.k])
     timings = {}
     with _phase(timings, "prepare"):
         train, test_points = _prepared_split(args)
@@ -353,6 +362,7 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
+    _check_radius(args, args.k_list)
     timings = {}
     with _phase(timings, "prepare"):
         train, test_points = _prepared_split(args)

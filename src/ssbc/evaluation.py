@@ -296,17 +296,18 @@ def pr_curve(codes_query, codes_base, truth):
     return _sweep(codes_query, codes_base, truth)[0]
 
 
-def _block_aps(ham, rows, cols, exclude_from):
+def _block_aps(ham, sizes, cols, exclude_from):
     """Average precision of each row of the Hamming block ham that has truth.
 
-    rows and cols list the block's (row, relevant base index) pairs, rows
-    ascending. With exclude_from set to the block's first query index,
-    query i's own base index is not a hit. Returns one AP per row that
-    appears in rows, in row order.
+    Row i of ham has sizes[i] relevant base indices, and cols lists them
+    row after row. With exclude_from set to the block's first query index,
+    query i's own base index is not a hit. Returns one AP per row whose
+    size is nonzero, in row order.
     """
-    need, local = np.unique(rows, return_inverse=True)
+    need = np.flatnonzero(sizes)
+    local = np.repeat(np.arange(need.size), sizes[need])
     if exclude_from is not None:
-        keep = cols != rows + exclude_from
+        keep = cols != need[local] + exclude_from
         local, cols = local[keep], cols[keep]
     n_b = ham.shape[1]
     relevant = np.zeros((need.size, n_b), dtype=bool)
@@ -315,11 +316,10 @@ def _block_aps(ham, rows, cols, exclude_from):
     for row, row_order in zip(relevant, order):
         row[:] = row[row_order]
     hit_rows, pos = np.divmod(np.flatnonzero(relevant), n_b)
-    ranks = pos + 1
     found = np.bincount(hit_rows, minlength=need.size)
     firsts = np.cumsum(found) - found
-    hits = np.arange(1, ranks.size + 1, dtype=np.int64) - np.repeat(firsts, found)
-    terms = (hits / ranks).tolist()
+    hits = np.arange(1, pos.size + 1, dtype=np.int64) - np.repeat(firsts, found)
+    terms = (hits / (pos + 1)).tolist()  # precision at each hit's rank
     return [math.fsum(terms[a:a + m]) / m if m else 0.0
             for a, m in zip(firsts.tolist(), found.tolist())]
 
@@ -347,8 +347,7 @@ def _sweep(codes_query, codes_base, truth):
         raise ParameterError("truth covers %d queries, codes %d" % (len(truth), n_q))
     truth = _flat_sets(truth, b.shape[0])
     exclude = np.array_equal(q, b)
-    ret_at = np.empty((n_q, k + 1), dtype=np.int64)
-    inter_at = np.empty((n_q, k + 1), dtype=np.int64)
+    ret_at, inter_at = np.empty((2, n_q, k + 1), dtype=np.int64)
     sizes = np.diff(truth.ends)
     aps = []
     for part in _row_blocks(n_q, b.shape[0]):
@@ -356,13 +355,14 @@ def _sweep(codes_query, codes_base, truth):
         n_rows = ham.shape[0]
         rows = np.repeat(np.arange(n_rows), sizes[part])
         cols = truth.flat[truth.ends[part.start]:truth.ends[part.stop]]
-        counts = [np.bincount(row, minlength=k + 2)[:k + 1] for row in ham]
-        ret_at[part] = np.cumsum(counts, axis=1)
-        cells = ham[rows, cols].astype(np.intp) + rows * (k + 2)
-        counts = np.bincount(cells, minlength=n_rows * (k + 2)).reshape(n_rows, k + 2)
-        inter_at[part] = np.cumsum(counts[:, :k + 1], axis=1)
-        if rows.size:
-            aps += _block_aps(ham, rows, cols, part.start if exclude else None)
+        # per row, retrieved then relevant base codes at each distance 0..k + 1
+        span = np.arange(n_rows) * (k + 2)
+        for at, cells in ((ret_at, ham + span[:, None]),
+                          (inter_at, ham[rows, cols] + span[rows])):
+            counts = np.bincount(cells.ravel(), minlength=n_rows * (k + 2))
+            at[part] = np.cumsum(counts.reshape(n_rows, k + 2)[:, :k + 1], axis=1)
+        if cols.size:
+            aps += _block_aps(ham, sizes[part], cols, part.start if exclude else None)
     curve = []
     for r in range(k + 1):
         prec = np.where(ret_at[:, r] > 0,

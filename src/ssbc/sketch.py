@@ -163,7 +163,7 @@ class FdSketch:
         sketch (ell > m, legal but wasteful) the ell-th singular value is
         structurally zero and the shrink is lossless.
         """
-        s, vt = self._svd(lambda s: self._shrunk_values(s)[2])
+        s, vt = self._svd()
         delta, shrunk, nz = self._shrunk_values(s)
         self.shrink_count += 1
         self.shrinkage += delta
@@ -177,15 +177,15 @@ class FdSketch:
         shrunk = np.sqrt(np.maximum(s2 - delta, 0.0))
         return delta, shrunk, int(np.count_nonzero(shrunk))
 
-    def _svd(self, used):
+    def _svd(self, k=None):
         """Singular values and right singular rows of the buffer.
 
-        used(s) is how many leading right singular rows the caller reads.
         The carried factors, updated by _updated_svd when one row is
-        pending, are returned if they have that many rows within _ORTHO_TOL
-        of orthonormal. Otherwise the whole buffer is decomposed, as before
-        the first shrink, in a tall sketch (ell > m), with two or more rows
-        pending, or when _updated_svd declines.
+        pending, are returned if their first k rows (every row for k=None,
+        as a shrink reads, the one it annihilates too) are within _ORTHO_TOL
+        of orthonormal. Otherwise the whole buffer is decomposed: before the
+        first shrink, in a tall sketch (ell > m), with two or more rows
+        pending, or where _updated_svd declines or gives fewer than k rows.
         """
         try:
             carried = None
@@ -193,7 +193,7 @@ class FdSketch:
                 carried = self._updated_svd() if self._pending else (self._s, self._vt)
             if carried is not None:
                 s, vt = carried
-                n = used(s)
+                n = len(s) if k is None else k
                 if n <= len(s):
                     gram = vt[:n] @ vt[:n].T
                     gram.ravel()[::n + 1] -= 1.0
@@ -248,5 +248,5 @@ class FdSketch:
         # a positive carried value always leaves a nonzero buffer row
         if not len(self._s) and not any(row.any() for row in self._pending):
             raise NumericalError("sketch buffer is all zeros, no basis defined")
-        _, vt = self._svd(lambda s: k)
+        _, vt = self._svd(k)
         return _anchored(vt[:k].T)

@@ -326,6 +326,20 @@ def test_sweep_aborts_on_failure_but_keeps_partial_results(tmp_path, capsys):
     assert any(l.endswith("failed:GuardError") for l in lines)
 
 
+def test_a_radius_above_k_is_refused_before_the_data_is_read(tmp_path, capsys):
+    # the data file does not exist, so any work before the check exits 2
+    data = ["--data", str(tmp_path / "absent.csv"), "--out-prefix", str(tmp_path / "o")]
+    for argv, k in ((["run", "--k", "8", "--radius", "9"], 8),
+                    (["sweep", "--k-list", "30,8", "--radius", "9"], 8),
+                    (["sweep", "--k-list", "8,30", "--radius", "-1"], 8)):
+        assert main(argv + data) == 1, argv
+        radius = argv[-1]
+        assert capsys.readouterr().err == (
+            "ssbc: ParameterError: radius must be an integer in [0, %d], got %s\n"
+            % (k, radius))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_rejects_unknown_method(tmp_path):
     assert main(["sweep", "--uniform", "80", "--methods", "lsh,nope",
                  "--out-prefix", str(tmp_path / "x")]) == 1

@@ -57,6 +57,31 @@ def test_hamming_matrix_matches_xor_count_across_the_uint8_boundary(k):
     assert (precision, recall) == (1.0, math.fsum([6 / 7] * 7) / 7)
 
 
+@pytest.mark.parametrize("k", [255, 300])
+@pytest.mark.parametrize("case", ["self", "truth lists the query", "two stacks"])
+def test_the_sweep_matches_the_oracles_at_uint16_distances(k, case):
+    rng = np.random.default_rng(k)
+    bits = rng.random((30, k)) < 0.5
+    # noisy copies of the first ten codes, each bit flipped with probability
+    # 0 to 1, spread the distances over 0..k
+    for i in range(10, 30):
+        bits[i] = bits[i % 10] ^ (rng.random(k) < (i - 10) / 19)
+    codes = np.where(bits, 1, -1).astype(np.int8)
+    base = codes[::-1].copy() if case == "two stacks" else codes
+    truth = [np.flatnonzero(rng.random(30) < 0.3) for _ in range(30)]
+    truth = [np.union1d(t, [i]) if case == "truth lists the query" else np.setdiff1d(t, [i])
+             for i, t in enumerate(truth)]
+    ham = hamming_matrix(codes, base)
+    assert np.min_scalar_type(k + 1) == np.uint16 and ham.max() == k
+    curve = pr_curve(codes, base, truth)
+    assert curve == [precision_recall(retrieve_hamming(codes, base, r), truth)
+                     for r in range(k + 1)]
+    report = evaluate_retrieval("m", codes, base, GroundTruth(truth, 1.0))
+    assert report.pr_curve == curve
+    assert (report.precision, report.recall) == curve[k // 4]
+    assert report.map == mean_average_precision(rank_by_hamming(codes, base), truth)
+
+
 def test_hamming_matrix_validation():
     with pytest.raises(DataError):
         hamming_matrix(np.array([[1, 0]]), BASE[:, :2])

@@ -507,6 +507,66 @@ def test_shrink_rejects_a_carried_basis_that_lost_orthogonality():
     assert sk.next_zero_row == ref.next_zero_row
 
 
+def _tilt_the_last_arrowhead_row(monkeypatch):
+    # the fold's true factors, but its last right singular row, the one a
+    # shrink annihilates, tilted 1e-6 towards the first
+    solve = sketch._arrowhead_svd
+
+    def tilted(s, p, rho):
+        sigma, wt = solve(s, p, rho)
+        wt = wt.copy()
+        wt[-1] += 1e-6 * wt[0]
+        return sigma, wt
+
+    monkeypatch.setattr(sketch, "_arrowhead_svd", tilted)
+
+
+def _counting_svd(monkeypatch):
+    svd, calls = np.linalg.svd, []
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_a_shrink_guards_the_row_it_annihilates(monkeypatch):
+    rows, ell = _wide_stream()
+    m = rows.shape[1]
+    sk, ref = FdSketch(ell, m), FullSvdSketch(ell, m)
+    for row in rows[:2 * ell]:
+        sk.insert(row)
+        ref.insert(row)
+    assert len(sk._s) == sk.next_zero_row == ell - 1
+    _tilt_the_last_arrowhead_row(monkeypatch)
+    calls = _counting_svd(monkeypatch)
+    shrinks = sk.shrink_count
+    sk.insert(rows[2 * ell])
+    assert sk.shrink_count == shrinks + 1 and calls == [(ell, m)]
+    ref.insert(rows[2 * ell])
+    gram, ref_gram = sk.buffer.T @ sk.buffer, ref.buffer.T @ ref.buffer
+    assert np.linalg.norm(gram - ref_gram) <= 1e-9 * np.linalg.norm(ref_gram)
+
+
+def test_a_basis_read_guards_only_the_rows_it_reads(monkeypatch):
+    # the first shrink frees three rows, so one row pending folds into four
+    m, ell = 20, 6
+    rows = np.vstack([np.eye(m)[:ell] * [[3.0], [2.0], [1.5], [1.0], [1.0], [1.0]],
+                      np.random.default_rng(47).standard_normal((1, m))])
+    sk = FdSketch(ell, m)
+    for row in rows:
+        sk.insert(row)
+    assert (len(sk._s), len(sk._pending)) == (3, 1)
+    _tilt_the_last_arrowhead_row(monkeypatch)
+    calls = _counting_svd(monkeypatch)
+    sk.basis(3)
+    assert calls == []
+    sk.basis(4)
+    assert calls == [(ell, m)]
+
+
 def test_shrink_keeps_fd_guarantee_over_long_stream():
     a, ell = _wide_stream()
     sk = FdSketch(ell, a.shape[1])

@@ -1,12 +1,14 @@
 """Alternate perfbench runs of two checkouts and write the record as JSON.
 
 Runs `perfbench/run.py` of one workload and seed N times in each of a
-parent and a change checkout, strictly alternating, each run in its own
-process with the checkout as working directory and perfbench's own run
-length. Every pair runs the parent, then the change, so no side ever runs
-twice back to back and a quiet or busy minute of the host falls on both.
-Writes bench/BENCH_<label>.json under the current directory:
+parent and a change checkout, alternating, each run in its own process
+with the checkout as working directory and perfbench's own run length.
+The parent runs first in even pairs (0, 2, ...) and the change in odd
+ones, so a quiet or busy minute of the host falls on both and neither
+side always takes the first, or the second, place of a pair. Writes
+bench/BENCH_<label>.json under the current directory:
 
+* the side that ran first in each pair;
 * per side: every run's end-to-end metrics, failed and attempted counts,
   correctness flag and round count, and the `# machine` record of its
   first run (cores, BLAS and its threads, git sha), and the checkout's
@@ -115,8 +117,11 @@ def main(argv=None):
     sides = {"parent": args.parent, "change": args.change}
     runs = {side: [] for side in sides}
     machines = {}
+    firsts = []
     for i in range(args.pairs):
-        for side in sides:
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        firsts.append(order[0])
+        for side in order:
             run, machine = run_once(sides[side], args.workload, args.seed)
             runs[side].append(run)
             machines.setdefault(side, machine)
@@ -124,6 +129,7 @@ def main(argv=None):
 
     record = {
         "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
+        "first": firsts,
         "sides": {side: {"machine": machines[side], "tree": tree_state(sides[side]),
                          "runs": runs[side]} for side in sides},
         "summary": summarise(runs["parent"], runs["change"], better),
