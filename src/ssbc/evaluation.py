@@ -293,7 +293,7 @@ def pr_curve(codes_query, codes_base, truth):
     exactly; the curve comes from the one pass evaluate_retrieval makes,
     without materialising the index sets k+1 times.
     """
-    return _sweep(codes_query, codes_base, truth)[0]
+    return _sweep(*_code_pair(codes_query, codes_base), truth)[0]
 
 
 def _block_aps(ham, sizes, cols, exclude_from):
@@ -339,9 +339,8 @@ def _flat_sets(similar, n_b):
     return SimilarSets(np.concatenate(sets), ends)
 
 
-def _sweep(codes_query, codes_base, truth):
-    """(PR curve, MAP) in one pass over query blocks."""
-    q, b = _code_pair(codes_query, codes_base)
+def _sweep(q, b, truth):
+    """(PR curve, MAP) in one pass over query blocks of the _code_pair codes."""
     n_q, k = q.shape
     if len(truth) != n_q:
         raise ParameterError("truth covers %d queries, codes %d" % (len(truth), n_q))
@@ -403,14 +402,16 @@ def evaluate_retrieval(method, codes_query, codes_base, truth, radius=None,
     """Run the whole metric suite for one set of codes against a ground truth.
 
     The headline precision/recall is read off the radius sweep at the given
-    radius (default floor(k/4)). One pass over query blocks gathers the PR
-    counts and every query's average precision; no ranking is kept.
+    radius (default floor(k/4)), which is checked against k before the pass.
+    One pass over query blocks gathers the PR counts and every query's
+    average precision; no ranking is kept.
     """
-    curve, map_score = _sweep(codes_query, codes_base, truth.similar)
-    k = len(curve) - 1
+    q, b = _code_pair(codes_query, codes_base)
+    k = q.shape[1]
     if radius is None:
         radius = k // 4
     radius = check_int(radius, "radius", 0, k)
+    curve, map_score = _sweep(q, b, truth.similar)
     precision, recall = curve[radius]
     run_params = dict(params or {})
     run_params.setdefault("radius", radius)

@@ -7,15 +7,16 @@ squared array (s2 = s * s, delta = s2[ell-1]): a separately squared delta
 can differ by one ulp and leave the last value a tiny positive number
 instead of zero, and B no free row.
 
-FdSketch factors B in one of two ways, and _svd says when each is taken:
-one full SVD of B, or a fold of one new row into the carried factors
-(Brand 2006, "Fast low-rank modifications of the thin SVD") through the
-SVD of the arrowhead core K of _updated_svd. K^T K = diag(s^2, 0) + z z^T
-with z = [p, rho] is a rank-one update of a diagonal. LAPACK dlasd4 finds
-its roots one by one (Gu & Eisenstat 1995, "A divide-and-conquer
-algorithm for the bidiagonal SVD"), and the vectors (D^2 - sigma_i^2)^-1 z
-use a z recomputed from the roots by the Loewner formula, as dlasd8 does,
-so they are orthogonal by construction.
+Only a shrink factors B. It folds one new row into the carried factors
+(Brand 2006, "Fast low-rank modifications of the thin SVD") and checks
+the result, or else takes one full SVD of B; a basis read returns the
+factors the last shrink kept, or decomposes B. _fold solves the arrowhead
+core K of the fold: K^T K = diag(s^2, 0) + z z^T with z = [p, rho] is a
+rank-one update of a diagonal. LAPACK dlasd4 finds its roots one by one
+(Gu & Eisenstat 1995, "A divide-and-conquer algorithm for the bidiagonal
+SVD"), and the vectors (D^2 - sigma_i^2)^-1 z use a z recomputed from the
+roots by the Loewner formula, as dlasd8 does, so they are orthogonal by
+construction.
 
 The memory layout in that solve is part of its result. dlasd4's roots are
 stored one per row of gap (gap[i, j] = d_j^2 - sigma_i^2), and each Loewner
@@ -99,7 +100,9 @@ class FdSketch:
     The state is the pair (s, V^T) the last shrink kept, s positive, and
     the rows inserted since; `buffer` builds [diag(s) V^T; pending; zeros]
     on each read. Before the first shrink nothing is carried and every
-    row held is pending.
+    row held is pending. Only `shrink` factors the buffer and checks what
+    it carries; `basis` reads those factors back, or decomposes the
+    buffer, and never re-checks them.
 
     Two floats certify the sketch after the fact (Ghashami, Liberty,
     Phillips & Woodruff 2016): over the rows A inserted so far,
@@ -157,64 +160,47 @@ class FdSketch:
     def shrink(self):
         """Subtract the ell-th squared singular value from every one.
 
-        Invoked by insert when the buffer fills. Every row whose shrunk
-        singular value is exactly zero is freed, so repeated singular values
-        tied with the ell-th release more than one row at once. In a tall
-        sketch (ell > m, legal but wasteful) the ell-th singular value is
-        structurally zero and the shrink is lossless.
+        Invoked by insert when the buffer fills. The factors come from
+        _fold where it succeeds, else from one SVD of the whole buffer.
+        Every row whose shrunk singular value is exactly zero is freed, so
+        repeated singular values tied with the ell-th release more than one
+        row at once. In a tall sketch (ell > m, legal but wasteful) the
+        ell-th singular value is structurally zero and the shrink is
+        lossless.
         """
-        s, vt = self._svd()
-        delta, shrunk, nz = self._shrunk_values(s)
+        s, vt = self._fold() or self._full_svd()
+        s2 = s * s
+        delta = float(s2[self.ell - 1]) if self.ell <= len(s) else 0.0
+        shrunk = np.sqrt(np.maximum(s2 - delta, 0.0))
+        nz = int(np.count_nonzero(shrunk))
         self.shrink_count += 1
         self.shrinkage += delta
         self._s, self._vt, self._pending = shrunk[:nz], vt[:nz], []
 
-    def _shrunk_values(self, s):
-        """The delta subtracted, the shrunk singular values and the count
-        of nonzero ones."""
-        s2 = s * s
-        delta = float(s2[self.ell - 1]) if self.ell <= len(s) else 0.0
-        shrunk = np.sqrt(np.maximum(s2 - delta, 0.0))
-        return delta, shrunk, int(np.count_nonzero(shrunk))
-
-    def _svd(self, k=None):
-        """Singular values and right singular rows of the buffer.
-
-        The carried factors, updated by _updated_svd when one row is
-        pending, are returned if their first k rows (every row for k=None,
-        as a shrink reads, the one it annihilates too) are within _ORTHO_TOL
-        of orthonormal. Otherwise the whole buffer is decomposed: before the
-        first shrink, in a tall sketch (ell > m), with two or more rows
-        pending, or where _updated_svd declines or gives fewer than k rows.
-        """
+    def _full_svd(self):
+        """Singular values and right singular rows of the whole buffer."""
         try:
-            carried = None
-            if self._vt is not None and len(self._pending) <= 1 and self.ell <= self.m:
-                carried = self._updated_svd() if self._pending else (self._s, self._vt)
-            if carried is not None:
-                s, vt = carried
-                n = len(s) if k is None else k
-                if n <= len(s):
-                    gram = vt[:n] @ vt[:n].T
-                    gram.ravel()[::n + 1] -= 1.0
-                    if np.abs(gram, out=gram).max(initial=0.0) <= _ORTHO_TOL:
-                        return s, vt
             _, s, vt = np.linalg.svd(self.buffer, full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("SVD failed to converge: %s" % exc) from exc
         return s, vt
 
-    def _updated_svd(self):
+    def _fold(self):
         """Singular values and right singular rows of the carried rows plus
-        the one pending row, or None where _arrowhead_svd declines.
+        exactly one pending row, or None.
 
         These are diag(s) Vt for the carried (s, Vt), then the pending row
         c = p Vt + rho q^T, with p from two Gram-Schmidt passes against Vt
         and q rho the QR factorisation of the residual's transpose. Then
         B = K [Vt; q^T] with the arrowhead K = [[diag(s), 0], [p, rho]], and
         the SVD K = U diag(s') W^T gives B's singular values s' and right
-        singular rows W^T [Vt; q^T].
+        singular rows W^T [Vt; q^T]. None with nothing carried, with no or
+        several rows pending, where _arrowhead_svd declines, or where some
+        entry of |W^T W - I| over every row, the one a shrink annihilates
+        too, exceeds _ORTHO_TOL.
         """
+        if self._vt is None or len(self._pending) != 1:
+            return None
         vt = self._vt
         new = np.array(self._pending)
         coef = new @ vt.T
@@ -226,19 +212,27 @@ class FdSketch:
         arrow = _arrowhead_svd(self._s, coef[0], r[0, 0])
         if arrow is None:
             return None
-        return arrow[0], arrow[1] @ np.vstack([vt, q.T])
+        s, vt = arrow[0], arrow[1] @ np.vstack([vt, q.T])
+        gram = vt @ vt.T
+        gram.ravel()[::len(s) + 1] -= 1.0
+        if np.abs(gram, out=gram).max(initial=0.0) > _ORTHO_TOL:
+            return None
+        return s, vt
 
     def basis(self, k):
         """First k right singular vectors of the buffer, as an m x k matrix.
 
-        Columns are ordered by non-increasing singular value and come from
-        the factorisation a shrink uses (_svd), each signed by _anchored,
-        the rule exact_codes shares, so codes emitted at different stream
-        positions, and exact codes, are comparable. In a read of more
-        columns than the sketch holds rows, the trailing columns are an
-        orthonormal completion and carry no data. Undefined, and a
-        NumericalError, on a sketch that holds no data: nothing inserted
-        yet, or every direction annihilated and only zero rows since.
+        Columns are ordered by non-increasing singular value, each signed
+        by _anchored, the rule exact_codes shares, so codes emitted at
+        different stream positions, and exact codes, are comparable. With
+        no row pending since the last shrink, k at most the rows held and
+        ell <= m, they are the rows that shrink kept, which its fold
+        checked or an SVD gave; any other read decomposes the whole
+        buffer. In a read of more columns than the sketch holds rows, the
+        trailing columns are an orthonormal completion and carry no data.
+        Undefined, and a NumericalError, on a sketch that holds no data:
+        nothing inserted yet, or every direction annihilated and only zero
+        rows since.
         """
         k = check_int(k, "k", 1)
         if k > self.ell:
@@ -248,5 +242,8 @@ class FdSketch:
         # a positive carried value always leaves a nonzero buffer row
         if not len(self._s) and not any(row.any() for row in self._pending):
             raise NumericalError("sketch buffer is all zeros, no basis defined")
-        _, vt = self._svd(k)
+        if not self._pending and k <= len(self._s) and self.ell <= self.m:
+            vt = self._vt
+        else:
+            vt = self._full_svd()[1]
         return _anchored(vt[:k].T)

@@ -511,6 +511,23 @@ def test_evaluate_retrieval_rejects_one_dimensional_codes():
         evaluate_retrieval("lsh", np.ones(5), np.ones(5), truth)
 
 
+def test_evaluate_retrieval_refuses_a_radius_past_k_before_the_sweep(monkeypatch):
+    # no block is scored for a radius the code length rules out, and a bad
+    # code is still the first error reported
+    pts = synth_uniform(20, 5, 7).points
+    codes = lsh_encode_batch(lsh_train(5, 9, 4), pts)
+    truth = ground_truth(pts, pts, sigma=0.4)
+
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(evaluation, "_sweep", no_sweep)
+    with pytest.raises(ParameterError, match="radius"):
+        evaluate_retrieval("lsh", codes, codes, truth, radius=10)
+    with pytest.raises(DataError):
+        evaluate_retrieval("lsh", 2 * codes, codes, truth, radius=10)
+
+
 def test_spectral_norm_diagonal_and_rectangular():
     assert abs(spectral_norm(np.diag([3.0, 2.0, 1.0])) - 3.0) < 1e-8
     rng = np.random.default_rng(31)

@@ -15,8 +15,12 @@ bench/BENCH_<label>.json under the current directory:
   HEAD with whether its working tree is dirty and the sha256 of its
   `git diff HEAD`, which tells apart two change sides on one HEAD;
 * per metric: each side's median and quartiles, the change/parent ratio
-  of the medians, and how many pairs the change won, with "better" read
-  from the change checkout's BENCHMARK.json.
+  of the medians, how many pairs the change won, with "better" read from
+  the change checkout's BENCHMARK.json, and whether the gain is resolved:
+  the change won at least nine tenths of the pairs and its median beats
+  the parent's by more than the parent's q3 - q1;
+* each side's round count median and quartiles under "rounds", since
+  peak_rss_mb grows with the rounds a run fits in.
 
     python tools/bench_pairs.py --parent ../parent --change . \\
         --workload stream-batch --seed 1000 --pairs 10 --label stream-batch
@@ -92,11 +96,17 @@ def summarise(parent_runs, change_runs, better):
         after = [run["metrics"][name] for run in change_runs]
         sign = 1.0 if direction == "higher" else -1.0
         p, c = spread(before), spread(after)
+        wins = sum(sign * (a - b) > 0 for a, b in zip(after, before))
         summary[name] = {
             "better": direction, "parent": p, "change": c,
             "ratio": c["median"] / p["median"] if p["median"] else None,
-            "change_wins": sum(sign * (a - b) > 0 for a, b in zip(after, before)),
+            "change_wins": wins,
+            "gain_resolved": (10 * wins >= 9 * len(before) and
+                              sign * (c["median"] - p["median"]) > p["q3"] - p["q1"]),
         }
+    summary["rounds"] = {side: spread([run["rounds"] for run in runs])
+                         for side, runs in (("parent", parent_runs),
+                                            ("change", change_runs))}
     return summary
 
 
